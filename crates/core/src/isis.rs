@@ -47,6 +47,9 @@ impl IsisDb {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let _span = hoyan_obs::span("isis.build");
         let dests: Vec<NodeId> = net.topology.nodes().filter(|n| net.runs_isis(*n)).collect();
+        /// A destination's rows — per source router the saturated
+        /// disjunction and `(condition, next hop, metric)` per RIB entry —
+        /// with the manager their conditions live in.
         type DestResult = (NodeId, BddManager, Vec<(NodeId, Bdd, Vec<(Bdd, NodeId, u64)>)>);
         let results: std::sync::Mutex<Vec<DestResult>> = std::sync::Mutex::new(Vec::new());
         let error: std::sync::Mutex<Option<SimError>> = std::sync::Mutex::new(None);
@@ -97,6 +100,30 @@ impl IsisDb {
                             let any = sim.mgr.or_all_within(conds, k);
                             rows.push((u, any, entries));
                         }
+                        // Keep only what the database needs: the rows'
+                        // conditions move to a manager that holds nothing
+                        // else, and the simulation's (peak arena, unique
+                        // table, ITE cache) is dropped here instead of being
+                        // parked until the merge. The copy is excluded from
+                        // the tallies like a base import — the compact
+                        // manager stays pristine — so the exported `bdd.*`
+                        // counters do not see it.
+                        let stats = sim.stats;
+                        let big = sim.into_mgr();
+                        let mut compact = BddManager::new();
+                        let conds: Vec<Bdd> = rows
+                            .iter()
+                            .flat_map(|(_, any, entries)| {
+                                std::iter::once(*any).chain(entries.iter().map(|e| e.0))
+                            })
+                            .collect();
+                        let mut copied = compact.import_untallied(&big, &conds).into_iter();
+                        for cond in rows.iter_mut().flat_map(|(_, any, entries)| {
+                            std::iter::once(any).chain(entries.iter_mut().map(|e| &mut e.0))
+                        }) {
+                            *cond = copied.next().expect("one copy per condition");
+                        }
+                        drop(big);
                         // A peer may have errored while this destination was
                         // simulating; don't publish partial results past it.
                         if failed.load(Ordering::Acquire) {
@@ -106,11 +133,11 @@ impl IsisDb {
                         stats_mutex
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
-                            .merge(&sim.stats);
+                            .merge(&stats);
                         results
                             .lock()
                             .unwrap_or_else(|p| p.into_inner())
-                            .push((dest, sim.into_mgr(), rows));
+                            .push((dest, compact, rows));
                     })
                 })
                 .collect();
@@ -133,6 +160,9 @@ impl IsisDb {
         let mut mgr = BddManager::new();
         let mut reach = HashMap::new();
         let mut hops = HashMap::new();
+        // Workers publish in completion order; merging in destination order
+        // makes the database's handles (and its manager's tallies) the same
+        // at any thread count.
         let mut results = results.into_inner().unwrap_or_else(|p| p.into_inner());
         results.sort_by_key(|(d, _, _)| d.0);
         for (dest, src_mgr, rows) in results {
@@ -271,5 +301,74 @@ mod tests {
         let db1 = IsisDb::build(&n, Some(1)).unwrap();
         let hops1 = db1.hops(a, c);
         assert_eq!(hops1.len(), 2);
+    }
+
+    /// Every ≤ `k`-subset of `0..n`, as "these variables are false".
+    fn failure_sets(n: usize, k: usize) -> Vec<Vec<bool>> {
+        let mut sets = vec![vec![true; n]];
+        let mut frontier: Vec<(Vec<bool>, usize)> = vec![(vec![true; n], 0)];
+        for _ in 0..k {
+            let mut next = Vec::new();
+            for (set, from) in &frontier {
+                for v in *from..n {
+                    let mut s = set.clone();
+                    s[v] = false;
+                    sets.push(s.clone());
+                    next.push((s, v + 1));
+                }
+            }
+            frontier = next;
+        }
+        sets
+    }
+
+    /// The database keeps each destination's conditions in a compacted
+    /// copy and merges those; what it serves must still be what a direct
+    /// per-destination simulation computes, under every failure set in the
+    /// budget.
+    #[test]
+    fn database_matches_direct_per_destination_simulations() {
+        let k = 2;
+        let pair = net(&[
+            "hostname A\ninterface e0\n peer B\nrouter isis\n area 1\n",
+            "hostname B\ninterface e0\n peer A\n",
+        ]);
+        let tiny = NetworkModel::from_configs(
+            hoyan_topogen::WanSpec::tiny(7).build().configs,
+            VsbProfile::ground_truth,
+        )
+        .unwrap();
+        for n in [chain_with_backup(), pair, tiny] {
+            let db = IsisDb::build(&n, Some(k)).unwrap();
+            let sets = failure_sets(n.topology.link_count(), k as usize);
+            for dest in n.topology.nodes().filter(|d| n.runs_isis(*d)) {
+                let mut sim = Simulation::new_igp_for(&n, Some(k), &[dest]);
+                sim.run().unwrap();
+                let lp = n.topology.loopback(dest);
+                for u in n.topology.nodes().filter(|u| *u != dest) {
+                    let direct: Vec<(Bdd, NodeId, u64)> = sim
+                        .entries(u, lp)
+                        .iter()
+                        .map(|e| (e.cond, e.from_node.unwrap_or(dest), e.attrs.isis_weight))
+                        .collect();
+                    let any = sim.mgr.or_all_within(direct.iter().map(|d| d.0), Some(k));
+                    let hops = db.hops(u, dest);
+                    assert_eq!(hops.len(), direct.len(), "{u:?} -> {dest:?}");
+                    for (h, (_, next_hop, metric)) in hops.iter().zip(&direct) {
+                        assert_eq!((h.next_hop, h.metric), (*next_hop, *metric));
+                    }
+                    for a in &sets {
+                        assert_eq!(
+                            db.mgr.eval(db.reach_cond(u, dest), a),
+                            sim.mgr.eval(any, a),
+                            "{u:?} -> {dest:?} reach under {a:?}"
+                        );
+                        for (h, (cond, _, _)) in hops.iter().zip(&direct) {
+                            assert_eq!(db.mgr.eval(h.cond, a), sim.mgr.eval(*cond, a));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

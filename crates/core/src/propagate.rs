@@ -30,12 +30,16 @@
 //! - **more-than-k**: every satisfying assignment of the condition needs
 //!   more than `k` link failures ([`BddManager::min_failures_to_satisfy`]).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::Instant;
 
 use hoyan_config::RedistSource;
-use hoyan_device::{Candidate, LearnedFrom, SessionKind};
+use hoyan_device::{CandidateRef, LearnedFrom, SessionKind};
 use hoyan_logic::{Bdd, BddManager};
 use hoyan_nettypes::{Ipv4Prefix, LinkId, NodeId, Origin, RouteAttrs};
+use hoyan_rt::hash::{FxHashMap, FxHashSet};
 
 use crate::isis::IsisDb;
 use crate::network::NetworkModel;
@@ -158,7 +162,10 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A RIB entry with its topology condition.
+/// A RIB entry with its topology condition. `attrs` and `path` never change
+/// once the entry exists, so they sit behind `Arc`s: cloning an entry (the
+/// per-step RIB snapshot) or relaying its path in a message shares them
+/// instead of copying AS paths, community sets and node lists.
 #[derive(Clone, Debug)]
 pub struct Entry {
     /// Stable identity (message diffing key).
@@ -166,7 +173,7 @@ pub struct Entry {
     /// Destination prefix.
     pub prefix: Ipv4Prefix,
     /// Attributes as stored in the RIB (after ingress processing).
-    pub attrs: RouteAttrs,
+    pub attrs: Arc<RouteAttrs>,
     /// The ingress topology condition `R(r)`.
     pub cond: Bdd,
     /// How the route was learned.
@@ -184,13 +191,13 @@ pub struct Entry {
     /// The protocol that produced the entry.
     pub proto: Proto,
     /// Devices the route has traversed (loop prevention).
-    pub path: Vec<NodeId>,
+    pub path: Arc<[NodeId]>,
 }
 
 impl Entry {
-    fn candidate(&self) -> Candidate {
-        Candidate {
-            attrs: self.attrs.clone(),
+    fn candidate(&self) -> CandidateRef<'_> {
+        CandidateRef {
+            attrs: &self.attrs,
             from_ebgp: matches!(self.learned_from, LearnedFrom::Ebgp | LearnedFrom::Local),
             igp_metric: self.igp_metric,
             ibgp_hops: self.ibgp_hops,
@@ -228,39 +235,55 @@ enum ChannelKind {
     Igp,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Channel {
     peer: NodeId,
     link: Option<LinkId>,
     kind: ChannelKind,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord)]
 struct MsgKey {
     from: u32,
     channel: u32,
     entry: u64,
 }
 
-type DesiredMsg = (
-    Bdd,
-    RouteAttrs,
-    Option<NodeId>,
-    Ipv4Prefix,
-    Vec<NodeId>,
-    u32,
-);
+/// A route update as computed by [`Simulation::emit`].
+#[derive(Clone, Debug)]
+struct Msg {
+    cond: Bdd,
+    attrs: Arc<RouteAttrs>,
+    next_hop: Option<NodeId>,
+    prefix: Ipv4Prefix,
+    /// The *sender's* entry path, shared; the receiver is appended only
+    /// when [`Simulation::deliver`] actually creates an entry.
+    sender_path: Arc<[NodeId]>,
+    ibgp_hops: u32,
+}
 
+/// A message in flight, with the RIB entry it created at the receiver
+/// (`None` while dormant: dropped as ball-covered, retried later).
 #[derive(Clone, Debug)]
 struct SentMsg {
-    cond: Bdd,
-    attrs: RouteAttrs,
-    next_hop: Option<NodeId>,
+    msg: Msg,
     receiver: NodeId,
-    prefix: Ipv4Prefix,
-    path: Vec<NodeId>,
-    ibgp_hops: u32,
     receiver_entry: Option<u64>,
+}
+
+/// Wall-clock tallies of the phases of a worklist step, in nanoseconds —
+/// taken only when `hoyan_obs::timing()` is on (see
+/// [`Simulation::flush_metrics`]). The policy tallies are included in the
+/// emit / deliver ones, `insert` in `deliver`.
+#[derive(Clone, Copy, Debug, Default)]
+struct PhaseNanos {
+    best_chain: u64,
+    emit: u64,
+    egress_policy: u64,
+    deliver: u64,
+    ingress_policy: u64,
+    insert: u64,
+    gc: u64,
 }
 
 /// Mode of a simulation.
@@ -393,18 +416,31 @@ pub struct Simulation<'n> {
     k: Option<u32>,
     prefixes: Vec<Ipv4Prefix>,
     channels: Vec<Vec<Channel>>,
-    ribs: HashMap<(u32, Ipv4Prefix), Vec<Entry>>,
-    sent: HashMap<(u32, Ipv4Prefix), HashMap<MsgKey, SentMsg>>,
+    ribs: FxHashMap<(u32, Ipv4Prefix), Vec<Entry>>,
+    /// Messages in flight per sender `(node, prefix)`, sorted by key.
+    sent: FxHashMap<(u32, Ipv4Prefix), Vec<(MsgKey, SentMsg)>>,
     dirty: VecDeque<(u32, Ipv4Prefix)>,
-    in_dirty: std::collections::HashSet<(u32, Ipv4Prefix)>,
+    in_dirty: FxHashSet<(u32, Ipv4Prefix)>,
     next_entry_id: u64,
-    agg_entry_ids: HashMap<(u32, Ipv4Prefix), u64>,
-    session_conds: HashMap<(u32, u32), Bdd>,
+    agg_entry_ids: FxHashMap<(u32, Ipv4Prefix), u64>,
+    session_conds: FxHashMap<(u32, u32), Bdd>,
     /// Handles into the arena's shared base segment (empty unless
     /// [`Simulation::set_base`] attached one).
     base: AttachedBase,
-    igp_dist: Vec<Vec<Option<u64>>>,
+    /// All-alive IGP distances (`[from][to]`) for selection step 8:
+    /// borrowed from the IS-IS database when one is attached.
+    igp_dist: Cow<'n, [Vec<Option<u64>>]>,
     isis_db: Option<&'n IsisDb>,
+    /// Scratch of [`Self::process_node_prefix`] (the RIB snapshot, its
+    /// is-best chain and the desired message set), kept between steps so a
+    /// step allocates only for the entries it creates.
+    step_entries: Vec<Entry>,
+    step_best: Vec<Bdd>,
+    step_desired: Vec<(MsgKey, Option<Msg>)>,
+    /// Whether to take [`PhaseNanos`] (`hoyan_obs::timing()` at
+    /// construction): off, the worklist loop never reads the clock.
+    timed: bool,
+    phase_ns: PhaseNanos,
     /// Opt-in wall-clock deadline: the cutoff instant plus the configured
     /// limit (for the error message). See [`Self::set_budget`].
     deadline: Option<(std::time::Instant, u64)>,
@@ -512,13 +548,14 @@ impl<'n> Simulation<'n> {
         channels: Vec<Vec<Channel>>,
         isis_db: Option<&'n IsisDb>,
     ) -> Self {
-        let n = net.topology.node_count();
-        let igp_dist = if mode == Mode::Bgp {
-            (0..n)
-                .map(|i| net.igp_distances(NodeId(i as u32)))
-                .collect()
-        } else {
-            Vec::new()
+        let igp_dist = match (mode, isis_db) {
+            (Mode::Igp, _) => Cow::Owned(Vec::new()),
+            (Mode::Bgp, Some(db)) => Cow::Borrowed(db.dist.as_slice()),
+            (Mode::Bgp, None) => Cow::Owned(
+                (0..net.topology.node_count())
+                    .map(|i| net.igp_distances(NodeId(i as u32)))
+                    .collect(),
+            ),
         };
         Simulation {
             net,
@@ -527,16 +564,21 @@ impl<'n> Simulation<'n> {
             k,
             prefixes,
             channels,
-            ribs: HashMap::new(),
-            sent: HashMap::new(),
+            ribs: FxHashMap::default(),
+            sent: FxHashMap::default(),
             dirty: VecDeque::new(),
-            in_dirty: std::collections::HashSet::new(),
+            in_dirty: FxHashSet::default(),
             next_entry_id: 0,
-            agg_entry_ids: HashMap::new(),
-            session_conds: HashMap::new(),
+            agg_entry_ids: FxHashMap::default(),
+            session_conds: FxHashMap::default(),
             base: AttachedBase::default(),
             igp_dist,
             isis_db,
+            step_entries: Vec::new(),
+            step_best: Vec::new(),
+            step_desired: Vec::new(),
+            timed: hoyan_obs::timing(),
+            phase_ns: PhaseNanos::default(),
             deadline: None,
             stats: PruneStats::default(),
             max_cond_size: 0,
@@ -597,8 +639,10 @@ impl<'n> Simulation<'n> {
         self.sent
             .iter()
             .flat_map(|((from, _prefix), msgs)| {
-                msgs.values()
-                    .map(|m| (NodeId(*from), m.receiver, m.prefix, m.attrs.clone(), m.cond))
+                msgs.iter().map(|(_, m)| {
+                    let attrs = RouteAttrs::clone(&m.msg.attrs);
+                    (NodeId(*from), m.receiver, m.msg.prefix, attrs, m.msg.cond)
+                })
             })
             .collect()
     }
@@ -645,6 +689,14 @@ impl<'n> Simulation<'n> {
         }
     }
 
+    /// Starts a phase timer — `None` (and no clock read) unless timed.
+    #[inline]
+    fn tick(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
+    }
+
+    /// Records a message condition's size in the Figure 11 peaks. Called
+    /// once per emitted message: a delivered condition is the emitted one.
     fn note_cond(&mut self, cond: Bdd) {
         let size = self.mgr.size(cond);
         if size > self.max_cond_size {
@@ -659,7 +711,6 @@ impl<'n> Simulation<'n> {
     pub fn run(&mut self) -> Result<(), SimError> {
         self.seed();
         let cap = 500usize * self.net.topology.node_count().max(1) * self.prefixes.len().max(1);
-        let debug = std::env::var_os("HOYAN_SIM_DEBUG").is_some();
         let mut steps = 0usize;
         while let Some((u, prefix)) = self.dirty.pop_front() {
             self.maybe_gc();
@@ -682,26 +733,6 @@ impl<'n> Simulation<'n> {
             self.in_dirty.remove(&(u, prefix));
             self.process_node_prefix(NodeId(u), prefix);
             steps += 1;
-            if debug && steps % 200 == 0 {
-                let entries: usize = self.ribs.values().map(|v| v.len()).sum();
-                let max_rib = self.ribs.values().map(|v| v.len()).max().unwrap_or(0);
-                let max_path = self
-                    .ribs
-                    .values()
-                    .flat_map(|v| v.iter().map(|e| e.path.len()))
-                    .max()
-                    .unwrap_or(0);
-                eprintln!(
-                    "sim step {steps}: queue={} entries={} max_rib={} max_path={} mgr_nodes={} ops={} delivered={}",
-                    self.dirty.len(),
-                    entries,
-                    max_rib,
-                    max_path,
-                    self.mgr.node_count(),
-                    self.mgr.ops,
-                    self.stats.delivered
-                );
-            }
             if steps > cap {
                 self.flush_metrics(steps);
                 return Err(SimError::NonConvergence);
@@ -723,19 +754,20 @@ impl<'n> Simulation<'n> {
         if !self.mgr.should_gc() {
             return;
         }
-        let roots: Vec<Bdd> = self
+        let t = self.tick();
+        let roots = self
             .ribs
             .values()
             .flat_map(|entries| entries.iter().map(|e| e.cond))
             .chain(
                 self.sent
                     .values()
-                    .flat_map(|msgs| msgs.values().map(|m| m.cond)),
+                    .flat_map(|msgs| msgs.iter().map(|(_, m)| m.msg.cond)),
             )
-            .chain(self.session_conds.values().copied())
-            .collect();
+            .chain(self.session_conds.values().copied());
         let before = self.mgr.node_count();
         self.mgr.gc(roots);
+        tock(&mut self.phase_ns.gc, t);
         // Flight-recorder pause marker; the trigger (and hence the event
         // stream) depends only on this family's own allocation history.
         hoyan_obs::record(hoyan_obs::EventKind::GcRun {
@@ -756,6 +788,18 @@ impl<'n> Simulation<'n> {
             .add(self.stats.dropped_impossible);
         hoyan_obs::metric!(gauge "propagate.max_formula_len")
             .record_max(self.stats.max_formula_len);
+        // Where the step time went — only under `--timing`, so untimed
+        // exports keep their key set (and stay deterministic).
+        if self.timed {
+            let ns = &self.phase_ns;
+            hoyan_obs::metric!(counter "propagate.best_chain_ns").add(ns.best_chain);
+            hoyan_obs::metric!(counter "propagate.emit_ns").add(ns.emit);
+            hoyan_obs::metric!(counter "propagate.egress_policy_ns").add(ns.egress_policy);
+            hoyan_obs::metric!(counter "propagate.deliver_ns").add(ns.deliver);
+            hoyan_obs::metric!(counter "propagate.ingress_policy_ns").add(ns.ingress_policy);
+            hoyan_obs::metric!(counter "propagate.insert_ns").add(ns.insert);
+            hoyan_obs::metric!(counter "propagate.gc_ns").add(ns.gc);
+        }
     }
 
     fn seed(&mut self) {
@@ -772,7 +816,7 @@ impl<'n> Simulation<'n> {
                     let entry = Entry {
                         id: self.fresh_entry_id(),
                         prefix,
-                        attrs: RouteAttrs::default(),
+                        attrs: Arc::new(RouteAttrs::default()),
                         cond: Bdd::TRUE,
                         learned_from: LearnedFrom::Local,
                         from_node: None,
@@ -781,7 +825,7 @@ impl<'n> Simulation<'n> {
                         peer_router_id: self.net.device(n).config.router_id,
                         ibgp_hops: 0,
                         proto: Proto::Isis,
-                        path: vec![n],
+                        path: Arc::new([n]),
                     };
                     self.deps.origin_nodes.insert(n.0);
                     self.deps.touched_nodes.insert(n.0);
@@ -795,8 +839,8 @@ impl<'n> Simulation<'n> {
                     let Some(bgp) = dev.config.bgp.as_ref() else {
                         continue;
                     };
-                    let prefixes = self.prefixes.clone();
-                    for p in prefixes {
+                    for pi in 0..self.prefixes.len() {
+                        let p = self.prefixes[pi];
                         let mut seeds: Vec<RouteAttrs> = Vec::new();
                         if bgp.networks.contains(&p) {
                             let mut attrs = RouteAttrs::originated();
@@ -818,7 +862,7 @@ impl<'n> Simulation<'n> {
                             let entry = Entry {
                                 id: self.fresh_entry_id(),
                                 prefix: p,
-                                attrs,
+                                attrs: Arc::new(attrs),
                                 cond: Bdd::TRUE,
                                 learned_from: LearnedFrom::Local,
                                 from_node: None,
@@ -827,7 +871,7 @@ impl<'n> Simulation<'n> {
                                 peer_router_id: dev.config.router_id,
                                 ibgp_hops: 0,
                                 proto: Proto::Bgp,
-                                path: vec![n],
+                                path: Arc::new([n]),
                             };
                             self.deps.origin_nodes.insert(n.0);
                             self.deps.touched_nodes.insert(n.0);
@@ -859,7 +903,7 @@ impl<'n> Simulation<'n> {
         let pos = rib
             .iter()
             .position(|e| {
-                hoyan_device::cmp_candidates(&cand, &e.candidate())
+                hoyan_device::cmp_candidate_refs(&cand, &e.candidate())
                     .then_with(|| entry.attrs.cmp(&e.attrs))
                     .then_with(|| entry.from_node.cmp(&e.from_node))
                     .then_with(|| entry.path.cmp(&e.path))
@@ -867,7 +911,7 @@ impl<'n> Simulation<'n> {
             })
             .unwrap_or(rib.len());
         if let Some(k) = self.k {
-            let higher: Vec<Bdd> = rib[..pos].iter().map(|e| e.cond).collect();
+            let higher = rib[..pos].iter().map(|e| e.cond);
             let covered = self.mgr.or_all_within(higher, Some(k));
             let novel = self.mgr.and_not(entry.cond, covered);
             if novel.is_false() || self.mgr.min_failures_to_satisfy(novel) > k {
@@ -875,10 +919,7 @@ impl<'n> Simulation<'n> {
                 return false;
             }
         }
-        self.ribs
-            .entry((node.0, prefix))
-            .or_default()
-            .insert(pos, entry);
+        rib.insert(pos, entry);
         self.sweep_covered(node, prefix);
         true
     }
@@ -894,27 +935,18 @@ impl<'n> Simulation<'n> {
         let Some(rib) = self.ribs.get(&(node.0, prefix)) else {
             return;
         };
-        let snapshot: Vec<(u64, Bdd, bool)> = rib
-            .iter()
-            .map(|e| {
-                (
-                    e.id,
-                    e.cond,
-                    e.from_node.is_none() || e.proto == Proto::Aggregate,
-                )
-            })
-            .collect();
         let mut acc = Bdd::FALSE;
         let mut removed = Vec::new();
-        for (id, cond, keep_always) in snapshot {
+        for e in rib {
+            let keep_always = e.from_node.is_none() || e.proto == Proto::Aggregate;
             if !keep_always && !acc.is_false() {
-                let novel = self.mgr.and_not(cond, acc);
+                let novel = self.mgr.and_not(e.cond, acc);
                 if novel.is_false() || self.mgr.min_failures_to_satisfy(novel) > k {
-                    removed.push(id);
+                    removed.push(e.id);
                     continue;
                 }
             }
-            acc = self.mgr.or(acc, cond);
+            acc = self.mgr.or(acc, e.cond);
             if !acc.is_true() && self.mgr.min_failures_to_falsify(acc) > k {
                 acc = Bdd::TRUE;
             }
@@ -937,12 +969,9 @@ impl<'n> Simulation<'n> {
             // retry messages that were dropped as ball-covered when the
             // removed entry still provided the coverage.
             self.mark_dirty(node, prefix);
-            let peers: Vec<NodeId> = self.channels[node.0 as usize]
-                .iter()
-                .map(|c| c.peer)
-                .collect();
-            for p in peers {
-                self.mark_dirty(p, prefix);
+            for ci in 0..self.channels[node.0 as usize].len() {
+                let peer = self.channels[node.0 as usize][ci].peer;
+                self.mark_dirty(peer, prefix);
             }
         }
     }
@@ -988,8 +1017,8 @@ impl<'n> Simulation<'n> {
     ) -> (Bdd, Vec<Ipv4Prefix>) {
         let mut contributors = Vec::new();
         let mut trigger = Bdd::TRUE;
-        let prefixes = self.prefixes.clone();
-        for p in prefixes {
+        for pi in 0..self.prefixes.len() {
+            let p = self.prefixes[pi];
             if p == agg_prefix || !agg_prefix.contains(p) {
                 continue;
             }
@@ -1010,16 +1039,11 @@ impl<'n> Simulation<'n> {
     /// Condition that at least one non-aggregate entry for `p` exists at
     /// `node`.
     fn prefix_present_cond(&mut self, node: NodeId, p: Ipv4Prefix) -> Bdd {
-        let conds: Vec<Bdd> = self
-            .ribs
-            .get(&(node.0, p))
-            .map(|rib| {
-                rib.iter()
-                    .filter(|e| e.proto != Proto::Aggregate)
-                    .map(|e| e.cond)
-                    .collect()
-            })
-            .unwrap_or_default();
+        let rib = self.ribs.get(&(node.0, p)).map_or(&[][..], Vec::as_slice);
+        let conds = rib
+            .iter()
+            .filter(|e| e.proto != Proto::Aggregate)
+            .map(|e| e.cond);
         self.mgr.or_all(conds)
     }
 
@@ -1069,7 +1093,7 @@ impl<'n> Simulation<'n> {
                     let entry = Entry {
                         id,
                         prefix: agg_prefix,
-                        attrs,
+                        attrs: Arc::new(attrs),
                         cond: trigger,
                         learned_from: LearnedFrom::Local,
                         from_node: None,
@@ -1078,7 +1102,7 @@ impl<'n> Simulation<'n> {
                         peer_router_id: router_id,
                         ibgp_hops: 0,
                         proto: Proto::Aggregate,
-                        path: vec![node],
+                        path: Arc::new([node]),
                     };
                     self.agg_entry_ids.insert((node.0, agg_prefix), id);
                     self.insert_entry(node, entry);
@@ -1126,17 +1150,13 @@ impl<'n> Simulation<'n> {
 
     /// The ranked RIB of `node` for `prefix`, with effective conditions.
     pub fn rib(&mut self, node: NodeId, prefix: Ipv4Prefix) -> Vec<RibView> {
-        let entries: Vec<Entry> = self
-            .ribs
-            .get(&(node.0, prefix))
-            .cloned()
-            .unwrap_or_default();
-        entries
+        let entries = self.rib_snapshot(node, prefix);
+        let views = entries
             .iter()
             .enumerate()
             .map(|(rank, e)| RibView {
                 prefix: e.prefix,
-                attrs: e.attrs.clone(),
+                attrs: RouteAttrs::clone(&e.attrs),
                 cond: self.effective_cond(node, e),
                 from_node: e.from_node,
                 next_hop: e.next_hop,
@@ -1144,7 +1164,36 @@ impl<'n> Simulation<'n> {
                 learned_from: e.learned_from,
                 rank,
             })
-            .collect()
+            .collect();
+        self.return_snapshot(entries);
+        views
+    }
+
+    /// The RIB of `(node, prefix)` copied into the step scratch (cheap: the
+    /// entries share their attributes and paths). A copy rather than a
+    /// borrow because computing effective conditions re-reads RIBs of the
+    /// same node — `aggregate_trigger` may even read this very one. Hand
+    /// it back with [`Self::return_snapshot`].
+    fn rib_snapshot(&mut self, node: NodeId, prefix: Ipv4Prefix) -> Vec<Entry> {
+        let mut entries = std::mem::take(&mut self.step_entries);
+        entries.extend_from_slice(self.entries(node, prefix));
+        entries
+    }
+
+    fn return_snapshot(&mut self, mut entries: Vec<Entry>) {
+        entries.clear();
+        self.step_entries = entries;
+    }
+
+    /// Effective conditions of the ranked RIB of `node` for `prefix`.
+    fn effective_conds(&mut self, node: NodeId, prefix: Ipv4Prefix) -> Vec<Bdd> {
+        let entries = self.rib_snapshot(node, prefix);
+        let conds = entries
+            .iter()
+            .map(|e| self.effective_cond(node, e))
+            .collect();
+        self.return_snapshot(entries);
+        conds
     }
 
     /// Condition under which at least one route for `prefix` exists at
@@ -1154,7 +1203,7 @@ impl<'n> Simulation<'n> {
     /// (reachability is then resilient; exact break distances beyond the
     /// budget are outside the simulation's contract anyway, §5.6).
     pub fn reach_cond(&mut self, node: NodeId, prefix: Ipv4Prefix) -> Bdd {
-        let conds: Vec<Bdd> = self.rib(node, prefix).into_iter().map(|v| v.cond).collect();
+        let conds = self.effective_conds(node, prefix);
         let k = self.k;
         self.mgr.or_all_within(conds, k)
     }
@@ -1163,7 +1212,7 @@ impl<'n> Simulation<'n> {
     /// formula itself is the object of study (the Figure 13 length metric),
     /// not just its within-budget verdict.
     pub fn reach_cond_exact(&mut self, node: NodeId, prefix: Ipv4Prefix) -> Bdd {
-        let conds: Vec<Bdd> = self.rib(node, prefix).into_iter().map(|v| v.cond).collect();
+        let conds = self.effective_conds(node, prefix);
         self.mgr.or_all(conds)
     }
 
@@ -1177,11 +1226,11 @@ impl<'n> Simulation<'n> {
 
     fn process_node_prefix(&mut self, u: NodeId, prefix: Ipv4Prefix) {
         self.refresh_aggregates_for(u, prefix);
-        let channels = self.channels[u.0 as usize].clone();
+        let n_channels = self.channels[u.0 as usize].len();
 
         // Desired message set for this prefix.
-        let mut desired: HashMap<MsgKey, DesiredMsg> = HashMap::new();
-        let entries: Vec<Entry> = self.ribs.get(&(u.0, prefix)).cloned().unwrap_or_default();
+        let mut desired = std::mem::take(&mut self.step_desired);
+        let entries = self.rib_snapshot(u, prefix);
         if !entries.is_empty() {
             // Cumulative is-best chain over effective conditions, with the
             // §5.6 pruning applied *inside* the chain: the moment the
@@ -1189,7 +1238,8 @@ impl<'n> Simulation<'n> {
             // than `k` failures, every lower-ranked rule's announcement is
             // out of consideration — cut the whole branch without building
             // its (potentially large) condition.
-            let mut best_conds: Vec<Bdd> = Vec::with_capacity(entries.len());
+            let t = self.tick();
+            let mut best_conds = std::mem::take(&mut self.step_best);
             // acc = disjunction of higher-ranked effective conditions,
             // saturated to TRUE once it cannot be falsified within the
             // failure budget (every lower-ranked rule is then never-best in
@@ -1197,7 +1247,7 @@ impl<'n> Simulation<'n> {
             let mut acc = Bdd::FALSE;
             for e in &entries {
                 if acc.is_true() {
-                    self.stats.dropped_over_k += channels.len() as u64;
+                    self.stats.dropped_over_k += n_channels as u64;
                     best_conds.push(Bdd::FALSE);
                     continue;
                 }
@@ -1211,7 +1261,10 @@ impl<'n> Simulation<'n> {
                     }
                 }
             }
-            for (ci, ch) in channels.iter().enumerate() {
+            tock(&mut self.phase_ns.best_chain, t);
+            let t = self.tick();
+            for ci in 0..n_channels {
+                let ch = self.channels[u.0 as usize][ci];
                 for (e, is_best) in entries.iter().zip(&best_conds) {
                     if is_best.is_false() {
                         continue; // never best (or pruned): nothing to send
@@ -1224,163 +1277,104 @@ impl<'n> Simulation<'n> {
                     if e.path.contains(&ch.peer) {
                         continue;
                     }
-                    let emitted = self.emit(u, ch, ci, e, *is_best);
-                    if let Some((key, val)) = emitted {
-                        desired.insert(key, val);
+                    if let Some(msg) = self.emit(u, ch, e, *is_best) {
+                        let key = MsgKey {
+                            from: u.0,
+                            channel: ci as u32,
+                            entry: e.id,
+                        };
+                        desired.push((key, Some(msg)));
                     }
                 }
             }
+            tock(&mut self.phase_ns.emit, t);
+            best_conds.clear();
+            self.step_best = best_conds;
         }
+        self.return_snapshot(entries);
+        // One message per (channel, entry), so keys are unique.
+        desired.sort_unstable_by_key(|d| d.0);
 
-        // Diff against previously sent messages from (u, prefix).
-        let mut old_keys: Vec<MsgKey> = self
-            .sent
-            .get(&(u.0, prefix))
-            .map(|m| m.keys().cloned().collect())
-            .unwrap_or_default();
-        old_keys.sort();
-        for key in old_keys {
-            match desired.remove(&key) {
-                None => {
-                    // Retract.
-                    let old = self
-                        .sent
-                        .get_mut(&(u.0, prefix))
-                        .and_then(|m| m.remove(&key))
-                        .expect("key exists");
-                    if let Some(entry_id) = old.receiver_entry {
-                        self.remove_entry(old.receiver, old.prefix, entry_id);
-                        self.mark_dirty(old.receiver, old.prefix);
+        // Diff against previously sent messages from (u, prefix), in key
+        // order. Nothing below reads `sent[(u, prefix)]`, so the list is
+        // taken out for the duration and edited in place.
+        let t = self.tick();
+        let sent_slot = self.sent.get_mut(&(u.0, prefix)).map(std::mem::take);
+        let was_sent = sent_slot.is_some();
+        let mut msgs = sent_slot.unwrap_or_default();
+        msgs.retain_mut(|(key, old)| {
+            let wanted = desired
+                .binary_search_by_key(key, |d| d.0)
+                .ok()
+                .and_then(|i| desired[i].1.take());
+            let Some(new) = wanted else {
+                // Retract.
+                if let Some(entry_id) = old.receiver_entry {
+                    self.remove_entry(old.receiver, old.msg.prefix, entry_id);
+                    self.mark_dirty(old.receiver, old.msg.prefix);
+                }
+                return false;
+            };
+            let receiver = old.receiver;
+            let channel_kind = self.channels[u.0 as usize][key.channel as usize].kind;
+            if old.msg.cond == new.cond
+                && old.msg.attrs == new.attrs
+                && old.msg.next_hop == new.next_hop
+            {
+                if old.receiver_entry.is_none() {
+                    // Unchanged but dormant (dropped as ball-covered):
+                    // retry now that the receiver's coverage may have
+                    // shrunk.
+                    old.receiver_entry = self.deliver(u, receiver, channel_kind, &old.msg);
+                    if old.receiver_entry.is_some() {
+                        self.mark_dirty(receiver, prefix);
                     }
                 }
-                Some((cond, attrs, next_hop, msg_prefix, path, hops)) => {
-                    let old = self
-                        .sent
-                        .get(&(u.0, prefix))
-                        .and_then(|m| m.get(&key))
-                        .expect("key exists");
-                    if old.cond == cond
-                        && old.attrs == attrs
-                        && old.next_hop == next_hop
-                        && old.receiver_entry.is_some()
-                    {
-                        continue; // unchanged and delivered
-                    }
-                    if old.cond == cond && old.attrs == attrs && old.next_hop == next_hop {
-                        // Unchanged but dormant (dropped as ball-covered):
-                        // retry now that the receiver's coverage may have
-                        // shrunk.
-                        let receiver = old.receiver;
-                        let channel_kind = self.channel_kind_of(u, key.channel);
-                        let (path_o, hops_o) = (old.path.clone(), old.ibgp_hops);
-                        let receiver_entry = self.deliver(
-                            u,
-                            receiver,
-                            channel_kind,
-                            prefix,
-                            &attrs,
-                            cond,
-                            next_hop,
-                            &path_o,
-                            hops_o,
-                        );
-                        if let Some(m) = self
-                            .sent
-                            .get_mut(&(u.0, prefix))
-                            .and_then(|m| m.get_mut(&key))
-                        {
-                            m.receiver_entry = receiver_entry;
-                        }
-                        if receiver_entry.is_some() {
-                            self.mark_dirty(receiver, prefix);
-                        }
-                        continue;
-                    }
-                    // Changed: retract then redeliver.
-                    let old = self
-                        .sent
-                        .get_mut(&(u.0, prefix))
-                        .and_then(|m| m.remove(&key))
-                        .expect("key exists");
-                    if let Some(entry_id) = old.receiver_entry {
-                        self.remove_entry(old.receiver, old.prefix, entry_id);
-                    }
-                    let receiver = old.receiver;
-                    let channel_kind = self.channel_kind_of(u, key.channel);
-                    let receiver_entry = self.deliver(
-                        u,
-                        receiver,
-                        channel_kind,
-                        msg_prefix,
-                        &attrs,
-                        cond,
-                        next_hop,
-                        &path,
-                        hops,
-                    );
-                    self.sent.entry((u.0, prefix)).or_default().insert(
-                        key,
-                        SentMsg {
-                            cond,
-                            attrs,
-                            next_hop,
-                            receiver,
-                            prefix: msg_prefix,
-                            path,
-                            ibgp_hops: hops,
-                            receiver_entry,
-                        },
-                    );
-                    self.mark_dirty(receiver, msg_prefix);
-                }
+                return true; // unchanged and delivered
             }
-        }
+            // Changed: retract then redeliver.
+            if let Some(entry_id) = old.receiver_entry {
+                self.remove_entry(receiver, old.msg.prefix, entry_id);
+            }
+            old.receiver_entry = self.deliver(u, receiver, channel_kind, &new);
+            old.msg = new;
+            self.mark_dirty(receiver, old.msg.prefix);
+            true
+        });
         // Brand-new messages, in deterministic key order.
-        let mut new_msgs: Vec<(MsgKey, DesiredMsg)> = desired.into_iter().collect();
-        new_msgs.sort_by(|a, b| a.0.cmp(&b.0));
-        for (key, (cond, attrs, next_hop, msg_prefix, path, hops)) in new_msgs {
-            let ch = self.channels[u.0 as usize][key.channel as usize].clone();
-            let receiver = ch.peer;
-            let receiver_entry = self.deliver(
-                u, receiver, ch.kind, msg_prefix, &attrs, cond, next_hop, &path, hops,
-            );
-            self.sent.entry((u.0, prefix)).or_default().insert(
+        let kept = msgs.len();
+        for (key, new) in desired.drain(..) {
+            let Some(msg) = new else { continue };
+            let ch = self.channels[u.0 as usize][key.channel as usize];
+            let receiver_entry = self.deliver(u, ch.peer, ch.kind, &msg);
+            self.mark_dirty(ch.peer, msg.prefix);
+            msgs.push((
                 key,
                 SentMsg {
-                    cond,
-                    attrs,
-                    next_hop,
-                    receiver,
-                    prefix: msg_prefix,
-                    path,
-                    ibgp_hops: hops,
+                    msg,
+                    receiver: ch.peer,
                     receiver_entry,
                 },
-            );
-            self.mark_dirty(receiver, msg_prefix);
+            ));
         }
-    }
-
-    fn channel_kind_of(&self, u: NodeId, channel: u32) -> ChannelKind {
-        self.channels[u.0 as usize][channel as usize].kind
+        if msgs.len() > kept {
+            msgs.sort_unstable_by_key(|m| m.0);
+        }
+        self.step_desired = desired;
+        if was_sent || !msgs.is_empty() {
+            self.sent.insert((u.0, prefix), msgs);
+        }
+        tock(&mut self.phase_ns.deliver, t);
     }
 
     /// Computes the outgoing message for entry `e` over channel `ch`, with
     /// pruning. Returns `None` when the message is dropped (stats updated).
-    #[allow(clippy::type_complexity)]
-    fn emit(
-        &mut self,
-        u: NodeId,
-        ch: &Channel,
-        channel_idx: usize,
-        e: &Entry,
-        is_best: Bdd,
-    ) -> Option<(MsgKey, DesiredMsg)> {
+    fn emit(&mut self, u: NodeId, ch: Channel, e: &Entry, is_best: Bdd) -> Option<Msg> {
         let dev = self.net.device(u);
         let (attrs_out, next_hop, attach_cond) = match ch.kind {
             ChannelKind::Igp => {
                 let link = ch.link.expect("IGP channels are links");
-                let mut attrs = e.attrs.clone();
+                let mut attrs = RouteAttrs::clone(&e.attrs);
                 attrs.isis_weight = attrs
                     .isis_weight
                     .saturating_add(self.net.topology.metric_from(u, link) as u64);
@@ -1397,7 +1391,10 @@ impl<'n> Simulation<'n> {
                 if !dev.may_advertise(e.learned_from, kind, neighbor) {
                     return None; // not an error, simply not advertised
                 }
-                let Some(egress) = dev.control_egress(neighbor, kind, e.prefix, &e.attrs) else {
+                let t = self.tick();
+                let egress = dev.control_egress(neighbor, kind, e.prefix, &e.attrs);
+                tock(&mut self.phase_ns.egress_policy, t);
+                let Some(egress) = egress else {
                     self.stats.dropped_policy += 1;
                     return None;
                 };
@@ -1432,49 +1429,38 @@ impl<'n> Simulation<'n> {
         if let Some(link) = ch.link {
             self.deps.touched_links.insert(link.0);
         }
-        let mut path = e.path.clone();
-        path.push(ch.peer);
-        let key = MsgKey {
-            from: u.0,
-            channel: channel_idx as u32,
-            entry: e.id,
-        };
-        // Cluster-list proxy: grows by one per iBGP hop.
-        let hops = match ch.kind {
-            ChannelKind::Ibgp(_) => e.ibgp_hops + 1,
-            _ => 0,
-        };
-        Some((key, (cond, attrs_out, next_hop, e.prefix, path, hops)))
+        Some(Msg {
+            cond,
+            attrs: Arc::new(attrs_out),
+            next_hop,
+            prefix: e.prefix,
+            sender_path: Arc::clone(&e.path),
+            // Cluster-list proxy: grows by one per iBGP hop.
+            ibgp_hops: match ch.kind {
+                ChannelKind::Ibgp(_) => e.ibgp_hops + 1,
+                _ => 0,
+            },
+        })
     }
 
     /// Receiver-side processing: ingress policy, then RIB insertion.
     /// Returns the created entry id, or `None` if dropped.
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        kind: ChannelKind,
-        prefix: Ipv4Prefix,
-        attrs: &RouteAttrs,
-        cond: Bdd,
-        next_hop: Option<NodeId>,
-        path: &[NodeId],
-        ibgp_hops: u32,
-    ) -> Option<u64> {
+    fn deliver(&mut self, from: NodeId, to: NodeId, kind: ChannelKind, msg: &Msg) -> Option<u64> {
         // Both endpoints join the dependency trace *before* any drop
         // decision: the receiver's config is consulted below, so a change
         // to it can flip the outcome even when this delivery is dropped.
         self.deps.touched_nodes.insert(from.0);
         self.deps.touched_nodes.insert(to.0);
         // A node relaying a route it already relayed = loop.
-        if path[..path.len() - 1].contains(&to) {
+        if msg.sender_path.contains(&to) {
             self.stats.dropped_policy += 1;
             return None;
         }
         let dev = self.net.device(to);
         let (attrs_in, learned_from) = match kind {
-            ChannelKind::Igp => (attrs.clone(), LearnedFrom::Local),
+            // IGP entries are "local" to BGP semantics; the sender is kept
+            // in `from_node` for forwarding.
+            ChannelKind::Igp => (Arc::clone(&msg.attrs), LearnedFrom::Local),
             ChannelKind::Ebgp(_) | ChannelKind::Ibgp(_) => {
                 let session_kind = match kind {
                     ChannelKind::Ebgp(_) => SessionKind::Ebgp,
@@ -1487,7 +1473,10 @@ impl<'n> Simulation<'n> {
                     self.stats.dropped_policy += 1;
                     return None;
                 };
-                let Some(a) = dev.control_ingress(neighbor, session_kind, prefix, attrs) else {
+                let t = self.tick();
+                let ingress = dev.control_ingress(neighbor, session_kind, msg.prefix, &msg.attrs);
+                tock(&mut self.phase_ns.ingress_policy, t);
+                let Some(a) = ingress else {
                     self.stats.dropped_policy += 1;
                     return None;
                 };
@@ -1501,45 +1490,53 @@ impl<'n> Simulation<'n> {
                         }
                     }
                 };
-                (a, lf)
+                (Arc::new(a), lf)
             }
         };
-        let igp_metric = match (self.mode, next_hop) {
+        let igp_metric = match (self.mode, msg.next_hop) {
             (Mode::Bgp, Some(nh)) if nh != to => {
                 self.igp_dist[to.0 as usize][nh.0 as usize].unwrap_or(0)
             }
             _ => 0,
         };
-        let learned_from = if matches!(kind, ChannelKind::Igp) {
-            // IGP entries are "local" to BGP semantics but we keep the
-            // sender for forwarding.
-            learned_from
-        } else {
-            learned_from
-        };
         let entry = Entry {
             id: self.fresh_entry_id(),
-            prefix,
+            prefix: msg.prefix,
             attrs: attrs_in,
-            cond,
+            cond: msg.cond,
             learned_from,
             from_node: Some(from),
-            next_hop,
+            next_hop: msg.next_hop,
             igp_metric,
             peer_router_id: self.net.device(from).config.router_id,
-            ibgp_hops,
+            ibgp_hops: msg.ibgp_hops,
             proto: match self.mode {
                 Mode::Bgp => Proto::Bgp,
                 Mode::Igp => Proto::Isis,
             },
-            path: path.to_vec(),
+            path: msg
+                .sender_path
+                .iter()
+                .copied()
+                .chain(std::iter::once(to))
+                .collect(),
         };
         let id = entry.id;
-        self.note_cond(cond);
-        if !self.insert_entry(to, entry) {
+        let t = self.tick();
+        let inserted = self.insert_entry(to, entry);
+        tock(&mut self.phase_ns.insert, t);
+        if !inserted {
             return None;
         }
         self.stats.delivered += 1;
         Some(id)
+    }
+}
+
+/// Stops a phase timer started by [`Simulation::tick`].
+#[inline]
+fn tock(slot: &mut u64, started: Option<Instant>) {
+    if let Some(t) = started {
+        *slot += t.elapsed().as_nanos() as u64;
     }
 }

@@ -485,7 +485,13 @@ pub struct Verifier {
     /// Conditioned IS-IS database (iBGP session conditions, IGP metrics).
     pub isis: Arc<IsisDb>,
     isis_k: Option<u32>,
+    /// Sorted by `(network, len)`, so every family — a *root* (a prefix no
+    /// other known prefix contains) plus everything inside it — is one
+    /// contiguous run: a container sorts before its contents, and nothing
+    /// outside it can sort in between.
     known_prefixes: Vec<Ipv4Prefix>,
+    /// Index into `known_prefixes` of each family's root, ascending.
+    family_starts: Vec<usize>,
     sweep_stats: std::sync::Mutex<PruneStats>,
     /// Dependency traces from *unbounded-budget* runs (role-equivalence
     /// simulations). Budgeted sweep traces are deliberately kept out: a
@@ -534,11 +540,21 @@ impl Verifier {
             }
             known.extend(dev.config.static_routes.iter().map(|s| s.prefix));
         }
+        let known_prefixes: Vec<Ipv4Prefix> = known.into_iter().collect();
+        let mut family_starts = Vec::new();
+        let mut root: Option<Ipv4Prefix> = None;
+        for (i, p) in known_prefixes.iter().enumerate() {
+            if !root.is_some_and(|r| r.contains(*p)) {
+                root = Some(*p);
+                family_starts.push(i);
+            }
+        }
         Verifier {
             net: compiled.net,
             isis: compiled.isis,
             isis_k: compiled.isis_k,
-            known_prefixes: known.into_iter().collect(),
+            known_prefixes,
+            family_starts,
             sweep_stats: std::sync::Mutex::new(PruneStats::default()),
             equiv_deps: std::sync::Mutex::new(std::collections::HashMap::new()),
         }
@@ -577,43 +593,52 @@ impl Verifier {
             .ok_or_else(|| SimError::UnknownDevice(device.to_string()))
     }
 
+    /// The `f`-th family of known prefixes (see `family_starts`).
+    fn known_family(&self, f: usize) -> &[Ipv4Prefix] {
+        let end = self
+            .family_starts
+            .get(f + 1)
+            .copied()
+            .unwrap_or(self.known_prefixes.len());
+        &self.known_prefixes[self.family_starts[f]..end]
+    }
+
     /// The family of prefixes that must be co-simulated with `prefix`:
     /// the overlap closure (aggregation and longest-prefix matching couple
-    /// overlapping prefixes).
+    /// overlapping prefixes), sorted. For a known prefix that is its
+    /// precomputed family; an unknown one joins the family whose root
+    /// contains it, or else pulls in every family it covers.
     pub fn family_of(&self, prefix: Ipv4Prefix) -> Vec<Ipv4Prefix> {
-        let mut family = vec![prefix];
-        loop {
-            let mut grew = false;
-            for q in &self.known_prefixes {
-                if family.contains(q) {
-                    continue;
-                }
-                if family.iter().any(|p| p.contains(*q) || q.contains(*p)) {
-                    family.push(*q);
-                    grew = true;
-                }
+        let root_of = |f: usize| self.known_prefixes[self.family_starts[f]];
+        // Roots are pairwise disjoint, so the only root that can contain
+        // `prefix` is the last one sorting at or before it.
+        let after = self
+            .family_starts
+            .partition_point(|&s| self.known_prefixes[s] <= prefix);
+        if after > 0 && root_of(after - 1).contains(prefix) {
+            let mut family = self.known_family(after - 1).to_vec();
+            if let Err(at) = family.binary_search(&prefix) {
+                family.insert(at, prefix);
             }
-            if !grew {
+            return family;
+        }
+        // No known prefix contains `prefix`; the ones it contains are whole
+        // families, whose roots sort directly after it.
+        let mut family = vec![prefix];
+        for f in after..self.family_starts.len() {
+            if !prefix.contains(root_of(f)) {
                 break;
             }
+            family.extend_from_slice(self.known_family(f));
         }
-        family.sort();
         family
     }
 
     /// Groups all known prefixes into disjoint families.
     pub fn families(&self) -> Vec<Vec<Ipv4Prefix>> {
-        let mut seen = std::collections::BTreeSet::new();
-        let mut out = Vec::new();
-        for p in &self.known_prefixes {
-            if seen.contains(p) {
-                continue;
-            }
-            let fam = self.family_of(*p);
-            seen.extend(fam.iter().copied());
-            out.push(fam);
-        }
-        out
+        (0..self.family_starts.len())
+            .map(|f| self.known_family(f).to_vec())
+            .collect()
     }
 
     /// Runs the conditioned simulation for `prefix`'s family at failure

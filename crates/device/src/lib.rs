@@ -23,5 +23,5 @@ pub mod vsb;
 
 pub use model::{BehaviorModel, EgressUpdate, LearnedFrom, SessionKind};
 pub use policy::{eval_acl, eval_optional_route_map, eval_route_map, Packet, PolicyVerdict};
-pub use selector::{cmp_candidates, rank, Candidate};
+pub use selector::{cmp_candidate_refs, cmp_candidates, rank, Candidate, CandidateRef};
 pub use vsb::{CommunityHandling, LocalAsMode, RemovePrivateAs, VsbKind, VsbProfile};

@@ -39,6 +39,36 @@ impl Candidate {
     }
 }
 
+/// A borrowed [`Candidate`]: the same fields over a `&RouteAttrs`, so hot
+/// paths (RIB insertion in `hoyan-core`) can rank routes without cloning
+/// AS paths and community sets.
+#[derive(Clone, Copy, Debug)]
+pub struct CandidateRef<'a> {
+    /// The route's attributes.
+    pub attrs: &'a RouteAttrs,
+    /// See [`Candidate::from_ebgp`].
+    pub from_ebgp: bool,
+    /// See [`Candidate::igp_metric`].
+    pub igp_metric: u64,
+    /// See [`Candidate::ibgp_hops`].
+    pub ibgp_hops: u32,
+    /// See [`Candidate::peer_router_id`].
+    pub peer_router_id: u32,
+}
+
+impl Candidate {
+    /// This candidate, borrowed.
+    pub fn borrowed(&self) -> CandidateRef<'_> {
+        CandidateRef {
+            attrs: &self.attrs,
+            from_ebgp: self.from_ebgp,
+            igp_metric: self.igp_metric,
+            ibgp_hops: self.ibgp_hops,
+            peer_router_id: self.peer_router_id,
+        }
+    }
+}
+
 /// Compares two candidates; `Ordering::Less` means `a` is **better**.
 ///
 /// The steps, in order (Figure 3's route selector):
@@ -53,6 +83,12 @@ impl Candidate {
 /// 9. fewer iBGP reflection hops (the cluster-list-length rule);
 /// 10. lower peer router id.
 pub fn cmp_candidates(a: &Candidate, b: &Candidate) -> Ordering {
+    cmp_candidate_refs(&a.borrowed(), &b.borrowed())
+}
+
+/// [`cmp_candidates`] on borrowed candidates — the one place the decision
+/// order is written down.
+pub fn cmp_candidate_refs(a: &CandidateRef<'_>, b: &CandidateRef<'_>) -> Ordering {
     b.attrs
         .weight
         .cmp(&a.attrs.weight)

@@ -32,7 +32,10 @@
 //! separate and/not caches. The kernel never recurses: deep chain-shaped
 //! conditions (long serial paths) are processed on a heap-allocated task
 //! stack, as are all the other traversals (`import`, `restrict`,
-//! `count_models`, the failure-cost walks).
+//! `count_models`, the failure-cost walks). The hot ones — `ite`, the cost
+//! walks, `size`, `gc` — run on scratch kept between calls (owned by the
+//! manager; per thread for `size`, which takes `&self`), so a call on a
+//! small condition allocates nothing.
 //!
 //! # Garbage collection and arena reuse
 //!
@@ -68,6 +71,9 @@
 //! keyed by a dead family handle could alias a newly allocated node — while
 //! the failure-cost memos keep exactly their base-segment entries (priced
 //! once at import), which both recycle and GC preserve.
+
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 
 use hoyan_rt::hash::{FxHashMap, FxHashSet};
 
@@ -106,6 +112,33 @@ struct Node {
 
 /// Cost used for "infinitely many failures" (unsatisfiable / unfalsifiable).
 pub const INF_FAILURES: u32 = u32::MAX;
+
+/// "Not priced yet" in the dense failure-cost memos. A real cost is either
+/// [`INF_FAILURES`] or at most the number of variables on a path (one per
+/// false-branch taken), so it can never reach `u32::MAX - 1`.
+const UNPRICED: u32 = u32::MAX - 1;
+
+/// Per-thread scratch of [`BddManager::size`]: a visit-stamp per arena slot
+/// and the traversal stack. `size` takes `&self` on managers shared between
+/// threads (the IS-IS database), so the scratch cannot live in the manager;
+/// a slot counts as visited only when its stamp equals the current call's
+/// generation, which makes the array reusable across calls *and* across
+/// managers without clearing.
+struct SizeScratch {
+    stamps: Vec<u32>,
+    generation: u32,
+    stack: Vec<Bdd>,
+}
+
+thread_local! {
+    static SIZE_SCRATCH: RefCell<SizeScratch> = const {
+        RefCell::new(SizeScratch {
+            stamps: Vec::new(),
+            generation: 0,
+            stack: Vec::new(),
+        })
+    };
+}
 
 /// Live-node count at which [`BddManager::should_gc`] first trips. After a
 /// collection the watermark grows to twice the surviving live set (never
@@ -221,8 +254,21 @@ pub struct BddManager {
     unique: FxHashMap<(u32, Bdd, Bdd), Bdd>,
     /// The one operation cache: `(f, g, h) -> ite(f, g, h)`.
     ite_cache: FxHashMap<(Bdd, Bdd, Bdd), Bdd>,
-    sat_cost: FxHashMap<Bdd, u32>,
-    falsify_cost: FxHashMap<Bdd, u32>,
+    /// Failure-cost memos, dense by arena slot ([`UNPRICED`] = not priced;
+    /// slots past the end are unpriced too). Base-segment prices survive
+    /// [`Self::gc`] and [`Self::recycle`]; everything above is reset there,
+    /// which is also what makes a reused free slot read unpriced — slots
+    /// are only ever freed by `gc`.
+    sat_cost: Vec<u32>,
+    falsify_cost: Vec<u32>,
+    /// Scratch stacks of [`Self::ite`], [`Self::price_all`] and
+    /// [`Self::gc`], kept between calls so the hot paths do not allocate.
+    /// Each user takes its scratch out, leaves it empty when done and puts
+    /// it back, so a call never observes another call's leftovers.
+    ite_tasks: Vec<IteFrame>,
+    ite_results: Vec<Bdd>,
+    walk_stack: Vec<Bdd>,
+    gc_marked: Vec<bool>,
     gc_watermark: usize,
     /// Per-segment resource caps; see [`Self::budget_exceeded`].
     budget: BddBudget,
@@ -265,8 +311,12 @@ impl BddManager {
             base_len: 2,
             unique: FxHashMap::default(),
             ite_cache: FxHashMap::default(),
-            sat_cost: FxHashMap::default(),
-            falsify_cost: FxHashMap::default(),
+            sat_cost: Vec::new(),
+            falsify_cost: Vec::new(),
+            ite_tasks: Vec::new(),
+            ite_results: Vec::new(),
+            walk_stack: Vec::new(),
+            gc_marked: Vec::new(),
             gc_watermark: DEFAULT_GC_WATERMARK,
             budget: BddBudget::default(),
             ops: 0,
@@ -368,9 +418,8 @@ impl BddManager {
             self.unique.insert((n.var, n.lo, n.hi), Bdd(i as u32));
         }
         self.ite_cache.clear();
-        let base = self.base_len as u32;
-        self.sat_cost.retain(|k, _| k.0 < base);
-        self.falsify_cost.retain(|k, _| k.0 < base);
+        self.sat_cost.truncate(self.base_len);
+        self.falsify_cost.truncate(self.base_len);
         self.gc_watermark = DEFAULT_GC_WATERMARK.max(self.base_len * 2);
         self.budget = BddBudget::default();
         self.peak_live = self.base_len;
@@ -411,27 +460,33 @@ impl BddManager {
     /// workers — and hence base imports — depends on the thread count,
     /// and the exported counters must not (see `tests/obs_stats.rs`).
     pub fn import_base(&mut self, src: &BddManager, roots: &[Bdd]) -> Vec<Bdd> {
-        let snap = (
-            self.ops,
-            self.unique_hits,
-            self.unique_misses,
-            self.nodes_created,
-        );
-        let mut memo: FxHashMap<Bdd, Bdd> = FxHashMap::default();
-        let mut out = Vec::with_capacity(roots.len());
-        for &b in roots {
-            out.push(self.import_into(src, b, &mut memo));
-        }
+        let out = self.import_untallied(src, roots);
         self.base_len = self.nodes.len();
-        for &r in &out {
-            if !r.is_const() {
-                self.price_all(std::slice::from_ref(&r), true);
-                self.price_all(std::slice::from_ref(&r), false);
-            }
-        }
-        (self.ops, self.unique_hits, self.unique_misses, self.nodes_created) = snap;
+        let ops = self.ops;
+        self.price_all(&out, true);
+        self.price_all(&out, false);
+        self.ops = ops;
         self.gc_watermark = self.gc_watermark.max(self.base_len * 2);
         self.peak_live = self.peak_live.max(self.base_len);
+        out
+    }
+
+    /// Bulk-imports `roots` from `src` (one shared translation memo),
+    /// returning the translated handles in `roots` order, with the work
+    /// **excluded from the tallies**: a manager that only ever receives such
+    /// imports stays pristine and flushes nothing. For copies whose number
+    /// or timing is an artefact of scheduling rather than of the formulas
+    /// built — the per-worker base import, and the IS-IS database's
+    /// per-destination compaction — so the exported counters stay a pure
+    /// function of the workload.
+    pub fn import_untallied(&mut self, src: &BddManager, roots: &[Bdd]) -> Vec<Bdd> {
+        let snap = (self.unique_hits, self.unique_misses, self.nodes_created);
+        let mut memo: FxHashMap<Bdd, Bdd> = FxHashMap::default();
+        let out = roots
+            .iter()
+            .map(|&b| self.import_into(src, b, &mut memo))
+            .collect();
+        (self.unique_hits, self.unique_misses, self.nodes_created) = snap;
         out
     }
 
@@ -518,14 +573,14 @@ impl BddManager {
     /// Contract: after `gc`, any handle that was not reachable from `roots`
     /// is dangling and must not be used.
     pub fn gc<I: IntoIterator<Item = Bdd>>(&mut self, roots: I) -> usize {
-        let mut marked = vec![false; self.nodes.len()];
+        let mut marked = std::mem::take(&mut self.gc_marked);
+        marked.clear();
+        marked.resize(self.nodes.len(), false);
         // Terminals and the shared base segment are permanent roots. The
         // base is transitively closed (children precede parents in the
         // import), so marking the slots is enough — no traversal needed.
-        for m in marked.iter_mut().take(self.base_len) {
-            *m = true;
-        }
-        let mut stack: Vec<Bdd> = Vec::new();
+        marked[..self.base_len].fill(true);
+        let mut stack = std::mem::take(&mut self.walk_stack);
         for r in roots {
             if !marked[r.0 as usize] {
                 marked[r.0 as usize] = true;
@@ -556,12 +611,13 @@ impl BddManager {
             }
         }
         let reclaimed = self.free.len() - previously_free;
+        self.gc_marked = marked;
+        self.walk_stack = stack;
         self.ite_cache.clear();
         // Base-segment cost entries reference permanent nodes only — keep
         // them so shared conditions stay priced across collections.
-        let base = self.base_len as u32;
-        self.sat_cost.retain(|k, _| k.0 < base);
-        self.falsify_cost.retain(|k, _| k.0 < base);
+        self.sat_cost.truncate(self.base_len);
+        self.falsify_cost.truncate(self.base_len);
         self.gc_runs += 1;
         self.nodes_reclaimed += reclaimed as u64;
         self.gc_watermark = self.gc_watermark.max(self.node_count() * 2);
@@ -572,10 +628,14 @@ impl BddManager {
         if lo == hi {
             return lo;
         }
-        if let Some(&n) = self.unique.get(&(var, lo, hi)) {
-            self.unique_hits += 1;
-            return n;
-        }
+        // One probe serves both the lookup and, on a miss, the insertion.
+        let vacant = match self.unique.entry((var, lo, hi)) {
+            Entry::Occupied(hit) => {
+                self.unique_hits += 1;
+                return *hit.get();
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
         self.unique_misses += 1;
         self.nodes_created += 1;
         let node = Node { var, lo, hi };
@@ -590,7 +650,7 @@ impl BddManager {
                 id
             }
         };
-        self.unique.insert((var, lo, hi), id);
+        vacant.insert(id);
         let live = self.nodes.len() - self.free.len();
         if live > self.peak_live {
             self.peak_live = live;
@@ -608,32 +668,13 @@ impl BddManager {
         self.mk(v, Bdd::TRUE, Bdd::FALSE)
     }
 
-    /// Top variable of `b`; terminals sort last (`u32::MAX`), which is how
-    /// they are stored in the arena.
-    #[inline]
-    fn top_var(&self, b: Bdd) -> u32 {
-        self.nodes[b.0 as usize].var
-    }
-
-    /// Shannon cofactors of `b` at `var`. `var` is the minimum top variable
-    /// of the triple being expanded, so `b`'s own top variable is either
-    /// `var` (split) or greater (independent — both cofactors are `b`).
-    #[inline]
-    fn cofactors(&self, b: Bdd, var: u32) -> (Bdd, Bdd) {
-        let n = self.nodes[b.0 as usize];
-        if n.var == var {
-            (n.lo, n.hi)
-        } else {
-            (b, b)
-        }
-    }
-
     /// The if-then-else apply kernel: computes the BDD for
     /// `(f ∧ g) ∨ (¬f ∧ h)` without recursion, memoized in the unified
     /// operation cache. Every public connective is a thin wrapper over this.
     pub fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
-        let mut tasks = vec![IteFrame::Solve(f, g, h)];
-        let mut results: Vec<Bdd> = Vec::new();
+        let mut tasks = std::mem::take(&mut self.ite_tasks);
+        let mut results = std::mem::take(&mut self.ite_results);
+        tasks.push(IteFrame::Solve(f, g, h));
         while let Some(frame) = tasks.pop() {
             match frame {
                 IteFrame::Solve(mut f, mut g, mut h) => {
@@ -676,10 +717,19 @@ impl BddManager {
                     }
                     self.ite_cache_misses += 1;
                     self.ops += 1;
-                    let var = self.top_var(f).min(self.top_var(g)).min(self.top_var(h));
-                    let (f0, f1) = self.cofactors(f, var);
-                    let (g0, g1) = self.cofactors(g, var);
-                    let (h0, h1) = self.cofactors(h, var);
+                    // Shannon cofactors at the minimum top variable: an
+                    // operand whose own top variable is greater does not
+                    // depend on it (terminals sort last, `u32::MAX`).
+                    let (nf, ng, nh) = (
+                        self.nodes[f.0 as usize],
+                        self.nodes[g.0 as usize],
+                        self.nodes[h.0 as usize],
+                    );
+                    let var = nf.var.min(ng.var).min(nh.var);
+                    let split = |b: Bdd, n: Node| if n.var == var { (n.lo, n.hi) } else { (b, b) };
+                    let (f0, f1) = split(f, nf);
+                    let (g0, g1) = split(g, ng);
+                    let (h0, h1) = split(h, nh);
                     tasks.push(IteFrame::Reduce { key, var });
                     tasks.push(IteFrame::Solve(f1, g1, h1));
                     tasks.push(IteFrame::Solve(f0, g0, h0));
@@ -695,7 +745,10 @@ impl BddManager {
             }
         }
         debug_assert_eq!(results.len(), 1);
-        results.pop().expect("ite result")
+        let r = results.pop().expect("ite result");
+        self.ite_tasks = tasks;
+        self.ite_results = results;
+        r
     }
 
     /// Logical negation.
@@ -811,22 +864,42 @@ impl BddManager {
         if b.is_const() {
             return 1;
         }
-        let mut seen: FxHashSet<Bdd> = FxHashSet::default();
-        let mut terminals = [false; 2];
-        let mut stack = vec![b];
-        while let Some(x) = stack.pop() {
-            if x.is_const() {
-                terminals[x.0 as usize] = true;
-                continue;
+        SIZE_SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            let SizeScratch {
+                stamps,
+                generation,
+                stack,
+            } = &mut *scratch;
+            if stamps.len() < self.nodes.len() {
+                stamps.resize(self.nodes.len(), 0);
             }
-            if !seen.insert(x) {
-                continue;
+            *generation = generation.wrapping_add(1);
+            if *generation == 0 {
+                // Wrapped: stamps from 2^32 calls ago would read as current.
+                stamps.fill(0);
+                *generation = 1;
             }
-            let n = self.nodes[x.0 as usize];
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        seen.len() + terminals.iter().filter(|&&t| t).count()
+            let mut internal = 0;
+            let mut terminals = [false; 2];
+            stack.push(b);
+            while let Some(x) = stack.pop() {
+                if x.is_const() {
+                    terminals[x.0 as usize] = true;
+                    continue;
+                }
+                let stamp = &mut stamps[x.0 as usize];
+                if *stamp == *generation {
+                    continue;
+                }
+                *stamp = *generation;
+                internal += 1;
+                let n = self.nodes[x.0 as usize];
+                stack.push(n.lo);
+                stack.push(n.hi);
+            }
+            internal + terminals.iter().filter(|&&t| t).count()
+        })
     }
 
     /// The distinct variables `b` depends on, ascending.
@@ -853,46 +926,58 @@ impl BddManager {
     /// dropped only by GC/recycle); newly priced nodes count toward
     /// [`Self::ops`].
     fn min_failures(&mut self, b: Bdd, falsify: bool) -> u32 {
-        if b.is_const() {
-            return terminal_cost(b, falsify);
-        }
         self.price_all(std::slice::from_ref(&b), falsify);
+        self.priced(b, falsify).expect("price_all priced the root")
+    }
+
+    /// The memoized cost of `b`, terminals included; `None` when `b` has
+    /// not been priced (in this direction) since the last GC/recycle.
+    #[inline]
+    fn priced(&self, b: Bdd, falsify: bool) -> Option<u32> {
+        if b.is_const() {
+            return Some(terminal_cost(b, falsify));
+        }
         let memo = if falsify {
             &self.falsify_cost
         } else {
             &self.sat_cost
         };
-        memo[&b]
+        memo.get(b.0 as usize).copied().filter(|&c| c != UNPRICED)
     }
 
     /// The DP core of the failure-cost queries: prices every node reachable
     /// from `roots` into the persistent memo, seeding one stack with all
     /// the roots so substructure shared *across* roots is walked once.
     fn price_all(&mut self, roots: &[Bdd], falsify: bool) {
+        if roots.iter().all(|&b| self.priced(b, falsify).is_some()) {
+            return;
+        }
         // Temporarily move the memo out so the borrow checker lets us read
-        // `self.nodes` and bump `self.ops` while inserting into it.
+        // `self.nodes` and bump `self.ops` while writing into it.
         let mut memo = std::mem::take(if falsify {
             &mut self.falsify_cost
         } else {
             &mut self.sat_cost
         });
-        let mut stack: Vec<Bdd> = roots.iter().copied().filter(|b| !b.is_const()).collect();
+        memo.resize(self.nodes.len(), UNPRICED);
+        let mut stack = std::mem::take(&mut self.walk_stack);
+        stack.extend(roots.iter().copied().filter(|b| !b.is_const()));
         while let Some(&x) = stack.last() {
-            if memo.contains_key(&x) {
+            if memo[x.0 as usize] != UNPRICED {
                 stack.pop();
                 continue;
             }
             let n = self.nodes[x.0 as usize];
-            let resolve = |c: Bdd, memo: &FxHashMap<Bdd, u32>| {
+            let resolve = |c: Bdd, memo: &[u32]| {
                 if c.is_const() {
                     Some(terminal_cost(c, falsify))
                 } else {
-                    memo.get(&c).copied()
+                    Some(memo[c.0 as usize]).filter(|&c| c != UNPRICED)
                 }
             };
             match (resolve(n.lo, &memo), resolve(n.hi, &memo)) {
                 (Some(lo), Some(hi)) => {
-                    memo.insert(x, hi.min(lo.saturating_add(1)));
+                    memo[x.0 as usize] = hi.min(lo.saturating_add(1));
                     self.ops += 1;
                     stack.pop();
                 }
@@ -906,6 +991,7 @@ impl BddManager {
                 }
             }
         }
+        self.walk_stack = stack;
         if falsify {
             self.falsify_cost = memo;
         } else {
@@ -924,13 +1010,7 @@ impl BddManager {
         self.price_all(roots, true);
         roots
             .iter()
-            .map(|&b| {
-                if b.is_const() {
-                    terminal_cost(b, true)
-                } else {
-                    self.falsify_cost[&b]
-                }
-            })
+            .map(|&b| self.priced(b, true).expect("price_all priced every root"))
             .collect()
     }
 

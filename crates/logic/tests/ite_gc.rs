@@ -14,12 +14,19 @@
 //!    garbage is actually reclaimed, and freed slots are safely reused by
 //!    later allocations. Seeded through `hoyan_rt::prop`, so failures
 //!    replay with `HOYAN_TEST_SEED`.
-//! 3. **Deep chains** — a 100k-variable conjunction exercises `not`, `and`,
+//! 3. **Scratch and memo reuse** — the failure-cost memos are dense arrays
+//!    indexed by arena slot and `size` stamps a per-thread visit array, so
+//!    both are checked where stale state would show: a slot freed by `gc`
+//!    and reused for another function, a base segment across `recycle` and
+//!    `next_family_warm`, two managers interleaved on one thread.
+//! 4. **Deep chains** — a 100k-variable conjunction exercises `not`, `and`,
 //!    `import`, `count_models`, the failure-cost walks and `eval` inside a
 //!    worker thread with the default stack. The previous recursive kernel
 //!    overflowed here; every walk is now iterative.
 
-use hoyan_logic::{Bdd, BddManager};
+use std::collections::HashSet;
+
+use hoyan_logic::{bdd::INF_FAILURES, Bdd, BddManager};
 use hoyan_rt::prop;
 
 const NVARS: u32 = 5;
@@ -237,6 +244,144 @@ fn imported_base_survives_gc_and_recycle_stress() {
         // the recycled base still agree with their oracles.
         let (b, table) = build(g, &mut m, 4);
         assert_eq!(eval_table(&m, b), table, "post-recycle arena corrupted");
+    });
+}
+
+/// Brute-force failure costs of a truth table: the fewest false variables
+/// among the assignments that satisfy (resp. falsify) it.
+fn brute_costs(table: &Table) -> (u32, u32) {
+    let mut best = [INF_FAILURES; 2];
+    for (bits, &value) in table.iter().enumerate() {
+        let down = NVARS - (bits as u32).count_ones();
+        let slot = &mut best[usize::from(!value)];
+        *slot = (*slot).min(down);
+    }
+    (best[0], best[1])
+}
+
+fn assert_costs(m: &mut BddManager, formulas: &[(Bdd, Table)], when: &str) {
+    for (b, table) in formulas {
+        let (sat, falsify) = brute_costs(table);
+        assert_eq!(m.min_failures_to_satisfy(*b), sat, "{when}: satisfy cost");
+        assert_eq!(
+            m.min_failures_to_falsify(*b),
+            falsify,
+            "{when}: falsify cost"
+        );
+    }
+}
+
+/// The smallest case of a stale price: `x0 ∧ x1` is priced, dies in a GC,
+/// and the arena refills its slots with `¬x0 ∧ ¬x1`-shaped functions whose
+/// costs are the mirror image.
+#[test]
+fn reused_slot_reads_unpriced() {
+    let mut m = BddManager::new();
+    let a = m.var(0);
+    let b = m.var(1);
+    let f = m.and(a, b);
+    assert_eq!(m.min_failures_to_satisfy(f), 0);
+    assert_eq!(m.min_failures_to_falsify(f), 1);
+    let arena = m.node_count();
+    assert_eq!(m.gc([]), arena - 2);
+    // Every freed slot is handed out again, each to a function with other
+    // costs than `a`, `b` or `f` had.
+    let na = m.nvar(0);
+    let nb = m.nvar(1);
+    let g = m.and(na, nb);
+    assert_eq!(m.node_count(), arena, "the three slots were reused");
+    for (h, sat, falsify) in [(na, 1, 0), (nb, 1, 0), (g, 2, 0)] {
+        assert_eq!(m.min_failures_to_satisfy(h), sat);
+        assert_eq!(m.min_failures_to_falsify(h), falsify);
+    }
+}
+
+/// The dense cost memos across every lifetime event of an arena with a
+/// base segment: prices of base handles survive `gc`, `recycle` and
+/// `next_family_warm`; anything a family priced and a `gc` / `recycle`
+/// dropped must be priced afresh when its slot holds another function.
+#[test]
+fn cost_memo_is_exact_across_gc_recycle_and_warm_segments() {
+    prop::check("dense_cost_memo_lifetimes", |g| {
+        let mut src = BddManager::new();
+        let base_src: Vec<(Bdd, Table)> = (0..4).map(|_| build(g, &mut src, 3)).collect();
+        let roots: Vec<Bdd> = base_src.iter().map(|&(b, _)| b).collect();
+        let mut m = BddManager::new();
+        let handles = m.import_base(&src, &roots);
+        let base: Vec<(Bdd, Table)> = handles
+            .into_iter()
+            .zip(base_src)
+            .map(|(h, (_, table))| (h, table))
+            .collect();
+        let ops = m.tallies().ops;
+        assert_costs(&mut m, &base, "fresh base");
+        assert_eq!(m.tallies().ops, ops, "base handles arrive priced");
+
+        for segment in 0..3 {
+            // Family work, priced; a collection that keeps a random part;
+            // new work in the freed slots.
+            let family: Vec<(Bdd, Table)> = (0..8).map(|_| build(g, &mut m, 4)).collect();
+            assert_costs(&mut m, &family, "family");
+            let keep: Vec<(Bdd, Table)> = family.into_iter().filter(|_| g.bool()).collect();
+            m.gc(keep.iter().map(|&(b, _)| b));
+            let refill: Vec<(Bdd, Table)> = (0..8).map(|_| build(g, &mut m, 4)).collect();
+            assert_costs(&mut m, &refill, "slots reused after gc");
+            assert_costs(&mut m, &keep, "survivors after gc");
+            let ops = m.tallies().ops;
+            assert_costs(&mut m, &base, "base after gc");
+            assert_eq!(m.tallies().ops, ops, "base prices survive gc");
+
+            if segment == 1 {
+                // Warm chaining keeps nodes, handles and prices.
+                m.next_family_warm();
+                assert_costs(&mut m, &refill, "after next_family_warm");
+                assert_eq!(m.tallies().ops, 0, "warm segment re-priced nothing");
+            } else {
+                m.recycle();
+                assert_costs(&mut m, &base, "base after recycle");
+                assert_eq!(m.tallies().ops, 0, "base prices survive recycle");
+            }
+        }
+    });
+}
+
+/// Reference for `size`: distinct nodes reachable from `b`, by hash set.
+fn size_by_hash_set(m: &BddManager, b: Bdd) -> usize {
+    let mut seen = HashSet::new();
+    let mut stack = vec![b];
+    while let Some(x) = stack.pop() {
+        if seen.insert(x) {
+            if let Some((_, lo, hi)) = m.node_triple(x) {
+                stack.push(lo);
+                stack.push(hi);
+            }
+        }
+    }
+    seen.len()
+}
+
+/// `size` marks visited slots in one per-thread array shared by every
+/// manager: calls on two managers alternate here, on formulas whose slot
+/// ranges overlap, before and after a collection frees and refills slots.
+#[test]
+fn size_matches_hash_set_walk_across_managers_and_gc() {
+    prop::check("size_visit_stamps", |g| {
+        let mut m1 = BddManager::new();
+        let mut m2 = BddManager::new();
+        let mut f1: Vec<Bdd> = (0..10).map(|_| build(g, &mut m1, 4).0).collect();
+        let mut f2: Vec<Bdd> = (0..10).map(|_| build(g, &mut m2, 4).0).collect();
+        for round in 0..2 {
+            for (&a, &b) in f1.iter().zip(&f2) {
+                assert_eq!(m1.size(a), size_by_hash_set(&m1, a), "round {round}");
+                assert_eq!(m2.size(b), size_by_hash_set(&m2, b), "round {round}");
+                // Asking again must not see the previous call's marks.
+                assert_eq!(m1.size(a), size_by_hash_set(&m1, a), "round {round}");
+            }
+            f1.retain(|_| g.bool());
+            m1.gc(f1.iter().copied());
+            f1.extend((0..6).map(|_| build(g, &mut m1, 4).0));
+            f2.extend((0..3).map(|_| build(g, &mut m2, 4).0));
+        }
     });
 }
 

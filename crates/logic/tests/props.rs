@@ -4,7 +4,7 @@
 //! Runs on the in-tree seeded harness (`hoyan_rt::prop`); a failure prints
 //! the seed to replay with `HOYAN_TEST_SEED`.
 
-use hoyan_logic::{bdd::INF_FAILURES, BddManager, Cnf, Formula, Solver};
+use hoyan_logic::{bdd::INF_FAILURES, Bdd, BddManager, Cnf, Formula, Solver};
 use hoyan_rt::prop::{check_cases, Gen};
 
 const NVARS: u32 = 6;
@@ -170,6 +170,99 @@ fn min_falsifying_failures_is_minimal_and_valid() {
             assert_eq!(fails.len() as u32, mgr.min_failures_to_falsify(b));
         } else {
             assert_eq!(mgr.min_failures_to_falsify(b), INF_FAILURES);
+        }
+    });
+}
+
+/// One step of a random kernel program over a growing pool of handles
+/// (operands are pool indices).
+#[derive(Debug)]
+enum KernelOp {
+    Ite(usize, usize, usize),
+    AndAll(Vec<usize>),
+    OrAllWithin(Vec<usize>, Option<u32>),
+}
+
+/// Runs `program` on `m`, starting from the literals of `KERNEL_VARS`
+/// variables, and returns every handle it produced.
+fn run_kernel_program(m: &mut BddManager, program: &[KernelOp]) -> Vec<Bdd> {
+    let mut pool: Vec<Bdd> = (0..KERNEL_VARS).map(|v| m.var(v)).collect();
+    pool.extend((0..KERNEL_VARS).map(|v| m.nvar(v)));
+    for op in program {
+        let pick =
+            |ids: &[usize]| -> Vec<Bdd> { ids.iter().map(|&i| pool[i % pool.len()]).collect() };
+        let r = match op {
+            KernelOp::Ite(f, g, h) => {
+                let o = pick(&[*f, *g, *h]);
+                m.ite(o[0], o[1], o[2])
+            }
+            KernelOp::AndAll(ids) => m.and_all(pick(ids)),
+            KernelOp::OrAllWithin(ids, k) => m.or_all_within(pick(ids), *k),
+        };
+        pool.push(r);
+    }
+    pool
+}
+
+const KERNEL_VARS: u32 = 8;
+
+/// The kernel keeps its ITE, pricing and GC stacks between calls. What an
+/// earlier call left behind — capacity grown by a deep chain, a whole
+/// recycled segment — must be invisible: the same program gives the same
+/// handles, the same tallies and the same functions as on a manager that
+/// never did anything else.
+#[test]
+fn kernel_results_do_not_depend_on_scratch_history() {
+    check_cases(CASES, "kernel_scratch_history", |g| {
+        let program: Vec<KernelOp> = (0..g.range_usize(1..24))
+            .map(|_| {
+                let ids = |g: &mut Gen| -> Vec<usize> {
+                    (0..g.range_usize(0..5))
+                        .map(|_| g.range_usize(0..64))
+                        .collect()
+                };
+                match g.range_u32(0..3) {
+                    0 => KernelOp::Ite(
+                        g.range_usize(0..64),
+                        g.range_usize(0..64),
+                        g.range_usize(0..64),
+                    ),
+                    1 => KernelOp::AndAll(ids(g)),
+                    _ => KernelOp::OrAllWithin(ids(g), g.bool().then(|| g.range_u32(0..3))),
+                }
+            })
+            .collect();
+
+        let mut fresh = BddManager::new();
+        let expect = run_kernel_program(&mut fresh, &program);
+
+        // Grow every scratch stack (a 2 000-deep chain through `ite`, both
+        // pricing walks, `size`, a collection), then reset the arena.
+        let mut used = BddManager::new();
+        let mut chain = Bdd::TRUE;
+        for v in (0..2_000).rev() {
+            let x = used.var(v);
+            chain = used.and(x, chain);
+        }
+        let neg = used.not(chain);
+        assert_eq!(used.min_failures_to_falsify(chain), 1);
+        assert_eq!(used.min_failures_to_satisfy(neg), 1);
+        assert_eq!(used.size(neg), 2_002);
+        used.gc([neg]);
+        used.recycle();
+
+        for round in 0..2 {
+            let got = run_kernel_program(&mut used, &program);
+            assert_eq!(got, expect, "round {round}: handles");
+            assert_eq!(used.tallies(), fresh.tallies(), "round {round}: tallies");
+            for bits in 0..1u32 << KERNEL_VARS {
+                let a: Vec<bool> = (0..KERNEL_VARS).map(|v| bits >> v & 1 == 1).collect();
+                for (x, y) in got.iter().zip(&expect) {
+                    assert_eq!(used.eval(*x, &a), fresh.eval(*y, &a), "round {round}");
+                }
+            }
+            // The second round runs on the first one's leftovers.
+            used.recycle();
         }
     });
 }

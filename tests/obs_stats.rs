@@ -355,3 +355,45 @@ fn counters_are_thread_invariant_under_each_ordering() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The per-phase wall-clock tallies of the propagation step exist only
+/// under `--timing`: an untimed export neither reads the clock nor grows
+/// new keys (the sections above stay byte-comparable), a timed one carries
+/// all seven so a profile can be read off `sweep --stats --timing`.
+#[test]
+fn propagate_phase_tallies_appear_only_under_timing() {
+    const PHASES: [&str; 7] = [
+        "\"propagate.best_chain_ns\"",
+        "\"propagate.emit_ns\"",
+        "\"propagate.egress_policy_ns\"",
+        "\"propagate.deliver_ns\"",
+        "\"propagate.ingress_policy_ns\"",
+        "\"propagate.insert_ns\"",
+        "\"propagate.gc_ns\"",
+    ];
+    let dir = std::env::temp_dir().join(format!("hoyan-obs-phase-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = hoyan()
+        .args(["gen", dir.to_str().unwrap(), "--size", "tiny", "--seed", "11"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let untimed = deterministic_sections(&sweep_stats_json(&dir, "1", "untimed"));
+    assert!(!untimed.contains("_ns\""), "{untimed}");
+
+    let json_path = dir.join("stats-timed.json");
+    let out = hoyan()
+        .args(["sweep", dir.to_str().unwrap(), "--k", "1", "--threads", "1"])
+        .args(["--timing", "--stats-json", json_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let timed = std::fs::read_to_string(&json_path).unwrap();
+    for key in PHASES {
+        assert!(timed.contains(key), "missing {key} in {timed}");
+    }
+    assert!(!timed.contains("\"propagate.emit_ns\": 0,"), "{timed}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
