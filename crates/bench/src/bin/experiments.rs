@@ -4,8 +4,7 @@
 //!
 //! Usage: `experiments <id>|all [--quick]`
 //! where `<id>` ∈ {fig7, fig8-13, fig14, fig15, fig16, table2, table3,
-//! table4, table5, formulas, incremental, bdd, faults, modular, wan,
-//! serve}.
+//! table4, table5, formulas, incremental, bdd, faults, wan, serve}.
 //!
 //! `experiments regress <baseline.json> <candidate.json> [--warn-only]
 //! [--counters-only]` is different: it diffs two `BENCH_<suite>.json` files
@@ -20,12 +19,6 @@
 //! though the committed baselines were produced in release mode on other
 //! hardware.
 //!
-//! `modular` measures the three-stage modular pipeline on the paper-scale
-//! `wan-large` fixture (a 42-device fixture under `--quick`): an exact-only
-//! sweep vs `--modular --abstraction full`, checking the verdicts agree,
-//! and writes `BENCH_modular.json` with the proved/refined split and both
-//! `bdd.ops` totals.
-//!
 //! `incremental` is not a paper figure: it measures the snapshot/delta
 //! pipeline (fresh full sweep vs `Verifier::reverify` against a cached
 //! baseline) at several perturbation sizes and writes
@@ -33,9 +26,9 @@
 //! the ITE/GC BDD engine under a full sweep and writes `BENCH_bdd.json`.
 //! `faults` arms a seeded fault-injection plan, drives quarantined sweeps
 //! at several thread counts, checks the quarantined set is thread-count
-//! invariant, and writes `BENCH_faults.json`. `modular` benchmarks the
-//! three-stage modular pipeline against the exact-only sweep and writes
-//! `BENCH_modular.json`. `serve` binds the resident daemon on an ephemeral
+//! invariant, and writes `BENCH_faults.json`. `wan` sweeps the paper-scale
+//! `wan-paper` fixture round-robin and dependency-scheduled and writes
+//! `BENCH_wan.json`. `serve` binds the resident daemon on an ephemeral
 //! port, fires a seeded request mix from 8 concurrent in-process clients
 //! (cache-hit `reach`, fresh-simulation `reach k=2`, hostile over-budget
 //! probes, `equiv`, `stats`), pushes a config via `whatif` and checks the
@@ -53,8 +46,7 @@ use hoyan_baselines::{BatfishLike, MinesweeperLike, PlanktonLike};
 use hoyan_bench::{fmt_dur, Cdf};
 use hoyan_config::ConfigSnapshot;
 use hoyan_core::{
-    packet_reach, AbstractionMode, NetworkModel, StreamedFamily, SweepOptions, SweepSchedule,
-    Verifier,
+    packet_reach, NetworkModel, StreamedFamily, SweepOptions, SweepSchedule, Verifier,
 };
 use hoyan_device::{Packet, VsbProfile};
 use hoyan_nettypes::{Ipv4Prefix, NodeId};
@@ -113,9 +105,6 @@ fn main() {
     }
     if run("faults") {
         faults(quick);
-    }
-    if run("modular") {
-        modular(quick);
     }
     if run("wan") {
         wan_sweep(quick);
@@ -1020,129 +1009,14 @@ fn faults(quick: bool) {
     println!();
 }
 
-// ------------------------------------------------------- Modular pipeline
-
-/// Modular-pipeline benchmark: the three-stage sweep (partition → abstract
-/// first pass → exact fallback) vs the monolithic exact-only sweep on the
-/// paper-scale `wan-large` fixture (a 42-device fixture under `--quick`).
-/// Asserts the two sweeps agree on every verdict, prints the
-/// proved/refined split, and writes `BENCH_modular.json` carrying the full
-/// metrics snapshot of the modular sweep plus a `summary` block with both
-/// `bdd.ops` totals — the second committed regression baseline next to
-/// `BENCH_bdd.json`.
-fn modular(quick: bool) {
-    let spec = if quick {
-        // The bdd experiment's ≥40-device fixture keeps quick runs honest.
-        WanSpec {
-            seed: 42,
-            regions: 3,
-            pes_per_region: 4,
-            mans_per_region: 2,
-            prefixes_per_pe: 2,
-            extra_core_links: 2,
-            block_prefixes: 1,
-        }
-    } else {
-        WanSpec::wan_large(42)
-    };
-    let wan = spec.build();
-    println!(
-        "=== Modular pipeline ({} devices, {} customer prefixes) ===",
-        wan.device_count(),
-        wan.customer_prefixes.len()
-    );
-    let k = 1u32;
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(8);
-    let verifier =
-        Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).expect("verifier");
-    let families = verifier.families().len();
-
-    // Window 1: monolithic exact-only sweep — the cost the abstract first
-    // pass has to beat.
-    hoyan_obs::reset_metrics();
-    let t0 = Instant::now();
-    let exact = verifier.verify_all_routes(k, threads).expect("exact sweep");
-    let exact_wall = t0.elapsed();
-    let exact_ops = hoyan_obs::counter_values()["bdd.ops"];
-    println!(
-        " exact-only: {} on {threads} threads | {} prefixes | bdd.ops {exact_ops}",
-        fmt_dur(exact_wall),
-        exact.reports.len()
-    );
-
-    // Window 2: the modular sweep with the full abstraction (proved
-    // families skip the exact stage) — this is the snapshot the baseline
-    // carries.
-    let opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::Full,
-        ..SweepOptions::default()
-    };
-    hoyan_obs::reset_metrics();
-    let t0 = Instant::now();
-    let modular = verifier
-        .verify_all_routes_opts(k, threads, &opts)
-        .expect("modular sweep");
-    let modular_wall = t0.elapsed();
-    let counters = hoyan_obs::counter_values();
-    let modular_ops = counters["bdd.ops"];
-    let proved = counters["verify.families_abstract_proved"];
-    let refined = counters["verify.families_refined"];
-    let snapshot = hoyan_obs::export_json();
-    println!(
-        " modular:    {} on {threads} threads | bdd.ops {modular_ops}",
-        fmt_dur(modular_wall)
-    );
-    println!(
-        " abstract pass: {proved}/{families} families proved, {refined} refined exactly \
-         ({:.0}% settled without exact simulation)",
-        100.0 * proved as f64 / families as f64
-    );
-
-    // Soundness check, same spirit as the determinism tests: modular must
-    // agree with exact-only on every verdict.
-    assert_eq!(exact.reports.len(), modular.reports.len());
-    for (e, m) in exact.reports.iter().zip(&modular.reports) {
-        assert_eq!(e.prefix, m.prefix);
-        assert_eq!(e.scope, m.scope, "modular scope differs for {}", e.prefix);
-        assert_eq!(e.fragile, m.fragile, "modular fragility differs for {}", e.prefix);
-    }
-    assert_eq!(proved + refined, families as u64, "provenance must cover every family");
-
-    let mut suite = BenchSuite::new("modular");
-    // `summary/counters` holds the headline deterministic counters so the
-    // strict (`--counters-only`) regress gate can pin the proved fraction
-    // and the ops win without depending on wall-clock leaves.
-    suite.set_metrics_json(format!(
-        "{{\n    \"sweep\": {snapshot},\n    \"summary\": {{\"counters\": {{\
-         \"families\": {families}, \"families_abstract_proved\": {proved}, \
-         \"families_refined\": {refined}, \"exact_bdd_ops\": {exact_ops}, \
-         \"modular_bdd_ops\": {modular_ops}}}}}\n  }}"
-    ));
-    let samples = if quick { 2 } else { 5 };
-    suite.bench_with_samples("sweep_modular_full", samples, &mut || {
-        verifier
-            .verify_all_routes_opts(k, threads, &opts)
-            .expect("modular sweep")
-    });
-    suite.bench_with_samples("sweep_exact_only", samples, &mut || {
-        verifier.verify_all_routes(k, threads).expect("exact sweep")
-    });
-    suite.finish();
-    println!();
-}
-
 // --------------------------------------------------- Paper-scale WAN sweep
 
 /// The Table-3-scale campaign: the `wan-paper` fixture (O(100) routers,
-/// O(10k) prefixes) swept three ways — round-robin exact (the baseline
-/// bill), dependency-aware scheduling through the *streaming* API (same
-/// verdicts, fewer BDD ops, bounded resident report memory), and the
-/// modular pipeline on the deps schedule. All three must agree on every
-/// verdict; the deps schedule must beat round-robin on `bdd.ops` and ITE
-/// hit rate. Writes `BENCH_wan.json`.
+/// O(10k) prefixes) swept two ways — round-robin (the baseline bill) and
+/// dependency-aware scheduling through the *streaming* API (same verdicts,
+/// fewer BDD ops, bounded resident report memory). Both must agree on
+/// every verdict; the deps schedule must beat round-robin on `bdd.ops` and
+/// ITE hit rate. Writes `BENCH_wan.json`.
 fn wan_sweep(quick: bool) {
     let spec = if quick { WanSpec::small(42) } else { WanSpec::wan_paper(42) };
     let wan = spec.build();
@@ -1239,42 +1113,6 @@ fn wan_sweep(quick: bool) {
         "deps schedule must raise the ITE hit rate"
     );
 
-    // Window 3: the modular pipeline rides the same schedule — abstract
-    // first pass plus warm chaining must stay under the round-robin bill.
-    let mod_opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::Full,
-        schedule: SweepSchedule::Deps,
-        ..SweepOptions::default()
-    };
-    hoyan_obs::reset_metrics();
-    let t0 = Instant::now();
-    let modular = verifier
-        .verify_all_routes_opts(k, threads, &mod_opts)
-        .expect("modular sweep");
-    let modular_wall = t0.elapsed();
-    let modular_ops = hoyan_obs::counter_values()["bdd.ops"];
-    println!(
-        " modular+deps: {} on {threads} threads | bdd.ops {modular_ops}",
-        fmt_dur(modular_wall)
-    );
-    assert_eq!(rr.reports.len(), modular.reports.len());
-    for (e, m) in rr.reports.iter().zip(&modular.reports) {
-        assert_eq!(e.prefix, m.prefix);
-        assert_eq!(e.scope, m.scope, "modular scope differs for {}", e.prefix);
-        assert_eq!(e.fragile, m.fragile, "modular fragility differs for {}", e.prefix);
-    }
-    // On toy fixtures the abstract first pass costs more than it saves
-    // (each family pays the proof attempt but exact families are cheap),
-    // so the ordering is only a claim at paper scale.
-    if !quick {
-        assert!(
-            modular_ops < rr_ops,
-            "modular+deps must stay under the round-robin bill \
-             (modular {modular_ops} vs roundrobin {rr_ops})"
-        );
-    }
-
     let mut suite = BenchSuite::new("wan");
     // `summary/counters` carries the headline deterministic counters for
     // the strict (`--counters-only`) regress gate; `summary/gauges` holds
@@ -1289,13 +1127,12 @@ fn wan_sweep(quick: bool) {
          \"rr_bdd_ops\": {rr_ops}, \"rr_ite_hits\": {rr_hits}, \"rr_ite_misses\": {rr_misses}, \
          \"deps_bdd_ops\": {deps_ops}, \"deps_ite_hits\": {deps_hits}, \
          \"deps_ite_misses\": {deps_misses}, \
-         \"sched_batches\": {sched_batches}, \"modular_bdd_ops\": {modular_ops}}}, \
+         \"sched_batches\": {sched_batches}}}, \
          \"gauges\": {{\"sched_steals\": {sched_steals}}}, \
-         \"wall\": {{\"roundrobin_ms\": {}, \"deps_ms\": {}, \"modular_ms\": {}}}}}\n  }}",
+         \"wall\": {{\"roundrobin_ms\": {}, \"deps_ms\": {}}}}}\n  }}",
         rr.reports.len(),
         rr_wall.as_millis(),
-        deps_wall.as_millis(),
-        modular_wall.as_millis()
+        deps_wall.as_millis()
     ));
     suite.finish();
     println!();

@@ -1,7 +1,7 @@
 //! The `experiments regress` gate: exit codes and tolerance rules, plus the
-//! tier-1 wiring — fresh `experiments bdd` / `experiments modular` runs
-//! diffed against the committed `BENCH_bdd.json` / `BENCH_modular.json`
-//! baselines. The tier-1 gates run *strictly* (no `--warn-only`) under
+//! tier-1 wiring — fresh `experiments bdd` / `serve` / `wan` runs diffed
+//! against the committed `BENCH_bdd.json` / `BENCH_serve.json` /
+//! `BENCH_wan.json` baselines. The tier-1 gates run *strictly* (no `--warn-only`) under
 //! `--counters-only`: deterministic counters are pure functions of the
 //! seeded workload, so they must match the committed release-mode baselines
 //! exactly even in a debug test run, while machine-dependent wall-clock
@@ -128,7 +128,7 @@ fn committed_bdd_baseline_gates_counters_strictly() {
 }
 
 /// Pulls the integer value of `"key": <n>` out of a JSON string. Enough
-/// for the flat `summary/counters` block the modular suite writes.
+/// for the flat `summary/counters` blocks the serve and wan suites write.
 fn json_counter(json: &str, key: &str) -> u64 {
     let needle = format!("\"{key}\"");
     let at = json
@@ -143,7 +143,7 @@ fn json_counter(json: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-/// The third tier-1 gate, on the resident-daemon baseline: the committed
+/// The second tier-1 gate, on the resident-daemon baseline: the committed
 /// `BENCH_serve.json` must show the acceptance-level load (≥200 mixed
 /// requests from the 8-client mix, both hostile probes quarantined, zero
 /// rejected connections, a real cache-hit majority), and a fresh
@@ -201,9 +201,7 @@ fn committed_serve_baseline_gates_counters_strictly() {
 
 /// The paper-scale WAN gate, on the committed `BENCH_wan.json` baseline:
 /// the dependency-aware schedule must beat round-robin on both `bdd.ops`
-/// and ITE hit rate, the modular pipeline riding that schedule must stay
-/// under the round-robin bill, and whole-batch work stealing must have
-/// fired when the baseline was generated (two workers). `sched_steals` is
+/// and ITE hit rate, and whole-batch work stealing must have fired when the baseline was generated (two workers). `sched_steals` is
 /// a gauge — thread-count dependent, excluded from `--counters-only` — so
 /// it is pinned here on the committed file, not on the fresh run. The
 /// fresh `experiments wan` run must then reproduce every deterministic
@@ -218,14 +216,9 @@ fn committed_wan_baseline_gates_counters_strictly() {
     assert!(json_counter(&text, "prefixes") >= 10_000, "paper-scale fixture must carry O(10k) prefixes");
     let rr_ops = json_counter(&text, "rr_bdd_ops");
     let deps_ops = json_counter(&text, "deps_bdd_ops");
-    let modular_ops = json_counter(&text, "modular_bdd_ops");
     assert!(
         deps_ops < rr_ops,
         "deps schedule must cost fewer BDD ops than round-robin ({deps_ops} vs {rr_ops})"
-    );
-    assert!(
-        modular_ops < rr_ops,
-        "modular+deps must stay under the round-robin bill ({modular_ops} vs {rr_ops})"
     );
     // Hit rates as cross-multiplied integers: hits_d/(hits_d+miss_d) >
     // hits_r/(hits_r+miss_r) without touching floats.
@@ -272,60 +265,5 @@ fn committed_wan_baseline_gates_counters_strictly() {
          regenerate the baseline if the change is intentional:\n{stdout}"
     );
     assert!(stdout.contains("[counters-only]"), "{stdout}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The second tier-1 gate, on the modular-pipeline baseline: the committed
-/// `BENCH_modular.json` must show the abstract first pass earning its keep
-/// (≥30% of families settled without exact simulation, and a lower total
-/// `bdd.ops` than the exact-only sweep), and a fresh `experiments modular`
-/// run must reproduce its deterministic counters exactly.
-#[test]
-fn committed_modular_baseline_gates_counters_strictly() {
-    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_modular.json");
-    let text = std::fs::read_to_string(committed)
-        .expect("committed BENCH_modular.json baseline is missing");
-    let families = json_counter(&text, "families");
-    let proved = json_counter(&text, "families_abstract_proved");
-    let exact_ops = json_counter(&text, "exact_bdd_ops");
-    let modular_ops = json_counter(&text, "modular_bdd_ops");
-    assert!(families > 0);
-    assert!(
-        proved * 10 >= families * 3,
-        "only {proved}/{families} families abstract-proved in the committed baseline (<30%)"
-    );
-    assert!(
-        modular_ops < exact_ops,
-        "modular sweep must cost fewer BDD ops than exact-only \
-         ({modular_ops} vs {exact_ops})"
-    );
-
-    let dir = std::env::temp_dir().join(format!("hoyan-regress-mod-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = experiments()
-        .args(["modular"])
-        .env("HOYAN_BENCH_DIR", dir.to_str().unwrap())
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let fresh = dir.join("BENCH_modular.json");
-    assert!(fresh.exists());
-
-    let out = experiments()
-        .args(["regress", committed, fresh.to_str().unwrap(), "--counters-only"])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "deterministic counters drifted from the committed BENCH_modular.json — \
-         regenerate the baseline if the change is intentional:\n{stdout}"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,20 +15,17 @@
 //! at most `k` link failures (§5), with aggressive pruning of branches whose
 //! conditions are impossible or need more than `k` failures (§5.6).
 
-pub mod abstract_sim;
 pub mod fib;
 pub mod isis;
 pub mod network;
 pub mod packet;
 pub mod propagate;
 pub mod racing;
-pub mod region;
 pub mod serve;
 pub mod snapshot;
 pub mod topology;
 pub mod verify;
 
-pub use abstract_sim::{prove_family, AbstractOutcome, PrefixProof, SessionConds};
 pub use fib::{fib_rules_for, is_gateway, FibAction, FibRule};
 pub use isis::{IsisDb, IsisHop};
 pub use network::{link_order, BgpSession, NetworkModel};
@@ -38,9 +35,6 @@ pub use propagate::{
     Simulation, LOCAL_WEIGHT,
 };
 pub use racing::{racing_check, RacingReport};
-pub use region::{
-    summarize_regions, verify_region, RegionMap, RegionScope, RegionSummary, SummaryEntry,
-};
 pub use serve::{render_reach_response, ServeError, ServeOptions, ServeSummary, Server};
 pub use snapshot::{
     classify_family, CachedFamily, CachedPrefixReport, CompiledNetwork, DirtyReason, FamilyCache,
@@ -48,7 +42,7 @@ pub use snapshot::{
 };
 pub use topology::{Topology, TopologyError};
 pub use verify::{
-    AbstractionMode, EquivalenceReport, FamilyBudget, FamilyCost, FamilyOutcome, FamilyProvenance,
-    PipelineStage, PrefixReport, QuarantinedFamily, ReachReport, ReverifyOutcome, StreamSummary,
-    StreamedFamily, SweepOptions, SweepReport, SweepSchedule, Verifier, VerifierError,
+    EquivalenceReport, FamilyBudget, FamilyCost, FamilyOutcome, PrefixReport, QuarantinedFamily,
+    ReachReport, ReverifyOutcome, StreamSummary, StreamedFamily, SweepOptions, SweepReport,
+    SweepSchedule, Verifier, VerifierError,
 };

@@ -398,15 +398,6 @@ pub struct AttachedBase {
     sessions: HashMap<(u32, u32), Bdd>,
 }
 
-impl AttachedBase {
-    /// The shared-base condition of a normalized `(min, max)` iBGP pair,
-    /// if the base conditioned it — the abstract pass reads session
-    /// conditions from here so both pipeline stages price the same BDDs.
-    pub(crate) fn session(&self, key: (u32, u32)) -> Option<Bdd> {
-        self.sessions.get(&key).copied()
-    }
-}
-
 /// A conditioned simulation of one prefix family.
 pub struct Simulation<'n> {
     net: &'n NetworkModel,

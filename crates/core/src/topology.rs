@@ -46,78 +46,10 @@ impl std::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// The functional role a router plays in the WAN, recovered from topogen's
-/// hostname convention `<ROLE><region>x<index>` (e.g. `CR2x0`, `PE0x3`).
-/// Hand-written fixtures that don't follow the convention get
-/// [`RouterRole::Unknown`] — the region partitioner then falls back to
-/// connectivity components.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum RouterRole {
-    /// Backbone core router (`CR`).
-    Core,
-    /// Provider edge toward customer sites (`PE`).
-    ProviderEdge,
-    /// Metro aggregation router (`MAN`).
-    Man,
-    /// Customer data-center edge (`DC`).
-    DataCenter,
-    /// External ISP peer (`ISP`).
-    Isp,
-    /// Hostname does not follow the role convention.
-    Unknown,
-}
-
-impl RouterRole {
-    /// Short display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            RouterRole::Core => "core",
-            RouterRole::ProviderEdge => "pe",
-            RouterRole::Man => "man",
-            RouterRole::DataCenter => "dc",
-            RouterRole::Isp => "isp",
-            RouterRole::Unknown => "unknown",
-        }
-    }
-}
-
-/// Parses `<LETTERS><digits>x<digits>` hostnames into a role and region
-/// hint. Only the full pattern with a known role prefix classifies;
-/// anything else ("PEACH", "A", "CR2") is `Unknown`.
-fn parse_role(hostname: &str) -> (RouterRole, Option<u32>) {
-    let letters_end = hostname
-        .find(|c: char| !c.is_ascii_uppercase())
-        .unwrap_or(hostname.len());
-    let (letters, rest) = hostname.split_at(letters_end);
-    let role = match letters {
-        "CR" => RouterRole::Core,
-        "PE" => RouterRole::ProviderEdge,
-        "MAN" => RouterRole::Man,
-        "DC" => RouterRole::DataCenter,
-        "ISP" => RouterRole::Isp,
-        _ => return (RouterRole::Unknown, None),
-    };
-    let Some((region, index)) = rest.split_once('x') else {
-        return (RouterRole::Unknown, None);
-    };
-    if region.is_empty()
-        || index.is_empty()
-        || !region.bytes().all(|b| b.is_ascii_digit())
-        || !index.bytes().all(|b| b.is_ascii_digit())
-    {
-        return (RouterRole::Unknown, None);
-    }
-    match region.parse::<u32>() {
-        Ok(r) => (role, Some(r)),
-        Err(_) => (RouterRole::Unknown, None),
-    }
-}
-
 /// The physical topology: named nodes and undirected links.
 #[derive(Clone, Debug)]
 pub struct Topology {
     names: Vec<String>,
-    roles: Vec<(RouterRole, Option<u32>)>,
     links: Vec<(NodeId, NodeId)>,
     link_metrics: Vec<(u32, u32)>, // (metric at .0 side, metric at .1 side)
     by_name: HashMap<String, NodeId>,
@@ -168,7 +100,6 @@ impl Topology {
         }
         Ok(Topology {
             names: configs.iter().map(|c| c.hostname.clone()).collect(),
-            roles: configs.iter().map(|c| parse_role(&c.hostname)).collect(),
             links,
             link_metrics,
             by_name,
@@ -200,17 +131,6 @@ impl Topology {
     /// Hostname of a node.
     pub fn name(&self, n: NodeId) -> &str {
         &self.names[n.0 as usize]
-    }
-
-    /// The router's role, recovered from its hostname.
-    pub fn role(&self, n: NodeId) -> RouterRole {
-        self.roles[n.0 as usize].0
-    }
-
-    /// The region number encoded in the hostname, when the role convention
-    /// applies (`PE2x1` → region 2).
-    pub fn region_hint(&self, n: NodeId) -> Option<u32> {
-        self.roles[n.0 as usize].1
     }
 
     /// The link between two nodes, if directly connected.
@@ -429,29 +349,6 @@ mod tests {
         let dfs = t.link_visit_order(false);
         let bfs = t.link_visit_order(true);
         assert_ne!(dfs, bfs, "the two walks must explore differently here");
-    }
-
-    #[test]
-    fn role_parsing_follows_the_full_convention() {
-        assert_eq!(parse_role("CR2x0"), (RouterRole::Core, Some(2)));
-        assert_eq!(parse_role("PE0x3"), (RouterRole::ProviderEdge, Some(0)));
-        assert_eq!(parse_role("MAN11x7"), (RouterRole::Man, Some(11)));
-        assert_eq!(parse_role("DC1x0"), (RouterRole::DataCenter, Some(1)));
-        assert_eq!(parse_role("ISP4x2"), (RouterRole::Isp, Some(4)));
-        // Anything short of the full <ROLE><digits>x<digits> pattern is
-        // Unknown: no false positives on hand-written fixture names.
-        for bad in ["A", "PEACH", "CR2", "PEx1", "PE2x", "PE2xq", "XRx1", "pe2x0"] {
-            assert_eq!(parse_role(bad), (RouterRole::Unknown, None), "{bad}");
-        }
-    }
-
-    #[test]
-    fn fixture_without_convention_has_unknown_roles() {
-        let t = Topology::from_configs(&triangle()).unwrap();
-        for n in t.nodes() {
-            assert_eq!(t.role(n), RouterRole::Unknown);
-            assert_eq!(t.region_hint(n), None);
-        }
     }
 
     #[test]

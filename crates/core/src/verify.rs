@@ -127,13 +127,6 @@ pub enum FamilyOutcome {
         /// Human-readable breach description.
         reason: String,
     },
-    /// Modular-pipeline provenance: the abstract first pass settled the
-    /// family (the over/under-approximation sandwich was tight within the
-    /// failure ball), so no exact refinement was needed for its verdicts.
-    ProvedAbstract,
-    /// Modular-pipeline provenance: the abstract pass was inconclusive and
-    /// the exact simulation settled the family.
-    RefinedExact,
 }
 
 impl std::fmt::Display for FamilyOutcome {
@@ -141,8 +134,6 @@ impl std::fmt::Display for FamilyOutcome {
         match self {
             FamilyOutcome::Failed { reason } => write!(f, "failed: {reason}"),
             FamilyOutcome::OverBudget { reason } => write!(f, "over budget: {reason}"),
-            FamilyOutcome::ProvedAbstract => write!(f, "proved by abstract pass"),
-            FamilyOutcome::RefinedExact => write!(f, "refined by exact simulation"),
         }
     }
 }
@@ -259,66 +250,6 @@ pub struct SweepReport {
     /// ordered by family index. Deterministic at any thread count as long
     /// as no wall-clock deadline is configured.
     pub quarantined: Vec<QuarantinedFamily>,
-    /// Per-family stage provenance, ordered by family index. Empty for
-    /// monolithic sweeps and for `--abstraction off`; populated by the
-    /// modular pipeline with [`FamilyOutcome::ProvedAbstract`] /
-    /// [`FamilyOutcome::RefinedExact`]. Additive metadata: deliberately
-    /// *outside* the modular-vs-monolithic byte-identity contract, which
-    /// covers `reports` and `quarantined`.
-    pub provenance: Vec<FamilyProvenance>,
-}
-
-/// Which pipeline stage settled one family of a modular sweep.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FamilyProvenance {
-    /// Index into the sweep's family list.
-    pub index: usize,
-    /// The family's prefixes, sorted.
-    pub prefixes: Vec<Ipv4Prefix>,
-    /// [`FamilyOutcome::ProvedAbstract`] or [`FamilyOutcome::RefinedExact`].
-    pub outcome: FamilyOutcome,
-}
-
-/// The stages of the modular verification pipeline (`sweep --modular`).
-/// A monolithic sweep runs [`PipelineStage::Exact`] only; the modular
-/// pipeline partitions once per sweep, then runs the abstract first pass
-/// and (where needed) the exact refinement per family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelineStage {
-    /// Region partitioning and boundary bookkeeping (once per sweep).
-    Partition,
-    /// The abstract route-nondeterminism first pass (per family).
-    Abstract,
-    /// The exact conditioned simulation (per family).
-    Exact,
-}
-
-impl PipelineStage {
-    /// Stable span/provenance name for the stage.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PipelineStage::Partition => "verify.partition",
-            PipelineStage::Abstract => "verify.abstract",
-            PipelineStage::Exact => "verify.exact",
-        }
-    }
-}
-
-/// What the modular pipeline's abstract first pass is allowed to decide.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AbstractionMode {
-    /// Skip the abstract pass entirely; every family runs exact.
-    Off,
-    /// Run the abstract pass for provenance and counters, but still settle
-    /// every family exactly — reports are byte-identical to a monolithic
-    /// sweep *by construction*.
-    #[default]
-    ProveOnly,
-    /// Families the abstract pass proves skip the exact simulation; their
-    /// reports are synthesized from the proofs (soundness: the abstract
-    /// pass only ever returns proofs that are exact within the ball, and
-    /// anything inconclusive falls through to the exact stage).
-    Full,
 }
 
 /// Per-family resource caps for a sweep. The node and op caps are
@@ -416,12 +347,6 @@ pub struct SweepOptions {
     pub fail_fast: bool,
     /// Per-family resource caps.
     pub budget: FamilyBudget,
-    /// Run the modular three-stage pipeline (partition → abstract first
-    /// pass → exact refinement) instead of the monolithic per-family
-    /// simulation. Off by default.
-    pub modular: bool,
-    /// What the abstract first pass may decide (ignored unless `modular`).
-    pub abstraction: AbstractionMode,
     /// How families are scheduled onto workers.
     pub schedule: SweepSchedule,
 }
@@ -492,7 +417,6 @@ pub struct Verifier {
     known_prefixes: Vec<Ipv4Prefix>,
     /// Index into `known_prefixes` of each family's root, ascending.
     family_starts: Vec<usize>,
-    sweep_stats: std::sync::Mutex<PruneStats>,
     /// Dependency traces from *unbounded-budget* runs (role-equivalence
     /// simulations). Budgeted sweep traces are deliberately kept out: a
     /// trace at budget `k` can miss devices an unbounded run reaches.
@@ -555,7 +479,6 @@ impl Verifier {
             isis_k: compiled.isis_k,
             known_prefixes,
             family_starts,
-            sweep_stats: std::sync::Mutex::new(PruneStats::default()),
             equiv_deps: std::sync::Mutex::new(std::collections::HashMap::new()),
         }
     }
@@ -568,14 +491,6 @@ impl Verifier {
             isis: Arc::clone(&self.isis),
             isis_k: self.isis_k,
         }
-    }
-
-    /// Aggregated pruning statistics across every family simulated by
-    /// [`Verifier::verify_all_routes`] so far, including the per-family
-    /// stats accumulated on worker threads (one contribution per family,
-    /// matching a single-threaded run).
-    pub fn sweep_stats(&self) -> PruneStats {
-        *self.sweep_stats.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// All prefixes known to the snapshot (networks, aggregates, statics).
@@ -882,7 +797,7 @@ impl Verifier {
     /// arena, because it unwinds through the owning simulation.
     fn run_family(
         &self,
-        mut arena: BddManager,
+        arena: BddManager,
         base: &AttachedBase,
         fam: &[Ipv4Prefix],
         index: usize,
@@ -910,98 +825,6 @@ impl Verifier {
             Some(hoyan_rt::fault::Fault::OverBudget) => budget.max_ite_ops = Some(0),
         }
         let t0 = Instant::now();
-        // Stage 2 of the modular pipeline: the abstract first pass. Runs in
-        // the *same* arena as the exact stage (its ops count against the
-        // family budget), against the same shared-base session conditions,
-        // so both stages price sessions alike. A proof in `Full` mode
-        // settles the family without simulating; in `ProveOnly` mode the
-        // proof is provenance and the exact stage still produces every
-        // report — byte-identical to a monolithic sweep by construction.
-        let mut provenance = None;
-        if opts.modular && opts.abstraction != AbstractionMode::Off {
-            // Own injection site so tests can fault the abstract stage
-            // specifically: an error or breach here quarantines only this
-            // family, exactly like an exact-stage fault.
-            match hoyan_rt::fault::hit("verify.abstract", index as u64) {
-                None => {}
-                Some(hoyan_rt::fault::Fault::Error) => {
-                    return (
-                        Err(SimError::Injected {
-                            site: "verify.abstract",
-                            index: index as u64,
-                        }),
-                        arena,
-                    );
-                }
-                Some(hoyan_rt::fault::Fault::OverBudget) => budget.max_ite_ops = Some(0),
-            }
-            let abs_span = hoyan_obs::span(PipelineStage::Abstract.name());
-            arena.set_budget(budget.bdd());
-            let outcome = crate::abstract_sim::prove_family(
-                &self.net,
-                crate::abstract_sim::SessionConds::Base(base),
-                &mut arena,
-                fam,
-                k,
-            );
-            drop(abs_span);
-            match outcome {
-                Err(breach) => {
-                    hoyan_obs::record(hoyan_obs::EventKind::BudgetBreach);
-                    return (Err(SimError::OverBudget(breach)), arena);
-                }
-                Ok(crate::abstract_sim::AbstractOutcome::Proved(proofs)) => {
-                    hoyan_obs::record(hoyan_obs::EventKind::StageAbstract { proved: true });
-                    provenance = Some(FamilyOutcome::ProvedAbstract);
-                    if opts.abstraction == AbstractionMode::Full {
-                        // The proof settles the family: synthesize the
-                        // reports it implies. Prune stats and cond sizes
-                        // describe exact propagation, which never ran —
-                        // they stay zero. Deps are conservatively "all of
-                        // the network", so an incremental reverify always
-                        // reclassifies the family dirty.
-                        if let Some(breach) = arena.budget_exceeded() {
-                            hoyan_obs::record(hoyan_obs::EventKind::BudgetBreach);
-                            return (Err(SimError::OverBudget(breach)), arena);
-                        }
-                        let reports = proofs
-                            .iter()
-                            .enumerate()
-                            .map(|(pi, proof)| PrefixReport {
-                                prefix: proof.prefix,
-                                sim_time: Duration::ZERO,
-                                query_time: Duration::ZERO,
-                                stats: PruneStats::default(),
-                                max_cond_len: 0,
-                                max_reach_formula_len: proof.max_reach_formula_len,
-                                scope: proof.scope.clone(),
-                                fragile: proof.fragile.clone(),
-                                family_head: pi == 0,
-                            })
-                            .collect();
-                        let wall_ns = if hoyan_obs::timing() {
-                            t0.elapsed().as_nanos() as u64
-                        } else {
-                            0
-                        };
-                        let sweep = FamilySweep {
-                            index,
-                            stats: PruneStats::default(),
-                            reports,
-                            deps: self.whole_network_deps(),
-                            cost: FamilyCost::from_manager(&arena, wall_ns),
-                            provenance,
-                        };
-                        return (Ok(sweep), arena);
-                    }
-                }
-                Ok(crate::abstract_sim::AbstractOutcome::Inconclusive(_reason)) => {
-                    hoyan_obs::record(hoyan_obs::EventKind::StageAbstract { proved: false });
-                    provenance = Some(FamilyOutcome::RefinedExact);
-                }
-            }
-            hoyan_obs::record(hoyan_obs::EventKind::StageExact);
-        }
         let sim_span = hoyan_obs::span("verify.sim");
         let mut sim = Simulation::new_bgp_in(
             arena,
@@ -1075,35 +898,8 @@ impl Verifier {
             reports: family_reports,
             deps: FamilyDeps::from_trace(&sim.deps, &self.net.topology),
             cost: FamilyCost::from_manager(&sim.mgr, wall_ns),
-            provenance,
         };
         (Ok(sweep), sim.into_manager())
-    }
-
-    /// The most conservative [`FamilyDeps`]: every device and link. Used
-    /// for abstract-proved families, whose exact propagation never ran and
-    /// therefore never traced its true footprint — any snapshot change
-    /// reclassifies them dirty, which is always sound.
-    fn whole_network_deps(&self) -> FamilyDeps {
-        let topo = &self.net.topology;
-        let devices: std::collections::BTreeSet<String> =
-            topo.nodes().map(|n| topo.name(n).to_string()).collect();
-        let links = (0..topo.link_count())
-            .map(|l| {
-                let (a, b) = topo.link_ends(hoyan_nettypes::LinkId(l as u32));
-                let (a, b) = (topo.name(a).to_string(), topo.name(b).to_string());
-                if a < b {
-                    (a, b)
-                } else {
-                    (b, a)
-                }
-            })
-            .collect();
-        FamilyDeps {
-            origin_devices: devices.clone(),
-            touched_devices: devices,
-            touched_links: links,
-        }
     }
 
     /// Simulates the given prefix families at budget `k` on `threads` scoped
@@ -1401,10 +1197,6 @@ impl Verifier {
                                     if opts.fail_fast && failed.load(Ordering::Acquire) {
                                         break;
                                     }
-                                    self.sweep_stats
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner())
-                                        .merge(&sweep.stats);
                                     hoyan_obs::metric!(counter "verify.families").inc();
                                     hoyan_obs::metric!(counter "verify.prefixes")
                                         .add(families[i].len() as u64);
@@ -1563,18 +1355,13 @@ impl Verifier {
         }
         let mut out = results.into_inner().unwrap_or_else(|p| p.into_inner());
         out.sort_by_key(|f| f.index);
-        // Stage-provenance counters, also bumped once post-join so the
-        // modular pipeline keeps the same thread-count-invariance contract.
-        let proved = out
-            .iter()
-            .filter(|f| f.provenance == Some(FamilyOutcome::ProvedAbstract))
-            .count() as u64;
-        let refined = out
-            .iter()
-            .filter(|f| f.provenance == Some(FamilyOutcome::RefinedExact))
-            .count() as u64;
-        hoyan_obs::metric!(counter "verify.families_abstract_proved").add(proved);
-        hoyan_obs::metric!(counter "verify.families_refined").add(refined);
+        // This sweep's own aggregate — one contribution per published
+        // family, so it is the same at any thread count and never carries
+        // over from an earlier sweep of the same verifier.
+        let mut stats = PruneStats::default();
+        for f in &out {
+            stats.merge(&f.stats);
+        }
         // Publish the per-family cost attribution and the quarantine
         // verdicts to the flight recorder — post-join and in index order,
         // so the merged log is deterministic at any thread count.
@@ -1601,12 +1388,13 @@ impl Verifier {
         Ok(SweepOutcome {
             families: out,
             quarantined,
+            stats,
         })
     }
 
-    /// Publishes the sweep-wide gauges from the aggregate prune stats.
-    fn flush_sweep_gauges(&self) {
-        let agg = self.sweep_stats();
+    /// Publishes the sweep-wide gauges from one sweep's aggregate prune
+    /// stats.
+    fn flush_sweep_gauges(agg: &PruneStats) {
         hoyan_obs::metric!(gauge "verify.sweep_delivered").set(agg.delivered);
         hoyan_obs::metric!(gauge "verify.sweep_dropped")
             .set(agg.dropped_policy + agg.dropped_over_k + agg.dropped_impossible);
@@ -1636,17 +1424,14 @@ impl Verifier {
         opts: &SweepOptions,
     ) -> Result<SweepReport, SimError> {
         let families = self.families();
-        self.partition_stage(opts);
         let swept = self.sweep_families(&families, k, threads, opts, None)?;
-        let provenance = Self::stage_provenance(&families, &swept);
+        Self::flush_sweep_gauges(&swept.stats);
         let mut out: Vec<PrefixReport> =
             swept.families.into_iter().flat_map(|f| f.reports).collect();
         out.sort_by_key(|r| r.prefix);
-        self.flush_sweep_gauges();
         Ok(SweepReport {
             reports: out,
             quarantined: swept.quarantined,
-            provenance,
         })
     }
 
@@ -1671,9 +1456,8 @@ impl Verifier {
         sink: &mut dyn FnMut(StreamedFamily),
     ) -> Result<StreamSummary, SimError> {
         let families = self.families();
-        self.partition_stage(opts);
         let swept = self.sweep_families_sink(&families, k, threads, opts, None, Some(sink))?;
-        self.flush_sweep_gauges();
+        Self::flush_sweep_gauges(&swept.stats);
         let prefixes = swept
             .families
             .iter()
@@ -1684,41 +1468,6 @@ impl Verifier {
             prefixes,
             quarantined: swept.quarantined.len(),
         })
-    }
-
-    /// Stage 1 of the modular pipeline: derive the region partition from
-    /// topogen role metadata (connectivity components for role-less
-    /// fixtures) and publish its shape. The sweep itself stays whole-
-    /// network — region-local verification against neighbor summaries is
-    /// the [`crate::region`] API — so partitioning cannot perturb verdicts.
-    fn partition_stage(&self, opts: &SweepOptions) {
-        if !opts.modular {
-            return;
-        }
-        let _sp = hoyan_obs::span(PipelineStage::Partition.name());
-        let map = crate::region::RegionMap::build(&self.net.topology);
-        hoyan_obs::metric!(gauge "verify.regions").set(map.region_count() as u64);
-        hoyan_obs::metric!(gauge "verify.region_boundary_links")
-            .set(map.boundary_links(&self.net.topology).len() as u64);
-    }
-
-    /// Collects the per-family stage provenance of a modular sweep (empty
-    /// for monolithic sweeps — no completed family carries provenance).
-    fn stage_provenance(
-        families: &[Vec<Ipv4Prefix>],
-        swept: &SweepOutcome,
-    ) -> Vec<FamilyProvenance> {
-        swept
-            .families
-            .iter()
-            .filter_map(|f| {
-                f.provenance.clone().map(|outcome| FamilyProvenance {
-                    index: f.index,
-                    prefixes: families[f.index].clone(),
-                    outcome,
-                })
-            })
-            .collect()
     }
 
     /// Like [`Verifier::verify_all_routes`], but also returns a
@@ -1744,9 +1493,8 @@ impl Verifier {
         opts: &SweepOptions,
     ) -> Result<(SweepReport, FamilyCache), SimError> {
         let families = self.families();
-        self.partition_stage(opts);
         let swept = self.sweep_families(&families, k, threads, opts, None)?;
-        let provenance = Self::stage_provenance(&families, &swept);
+        Self::flush_sweep_gauges(&swept.stats);
         let mut cache = FamilyCache::new(k, self.isis_k);
         let mut out = Vec::new();
         for f in swept.families {
@@ -1763,12 +1511,10 @@ impl Verifier {
             out.extend(f.reports);
         }
         out.sort_by_key(|r| r.prefix);
-        self.flush_sweep_gauges();
         Ok((
             SweepReport {
                 reports: out,
                 quarantined: swept.quarantined,
-                provenance,
             },
             cache,
         ))
@@ -1832,6 +1578,10 @@ impl Verifier {
         let mut classifications = self.classify_families(delta, cache, k);
         let mut reports: Vec<PrefixReport> = Vec::new();
         let mut new_cache = FamilyCache::new(k, self.isis_k);
+        // Replayed families count toward this sweep's aggregate too, so the
+        // gauges match a from-scratch sweep (one contribution per family,
+        // via its head report).
+        let mut stats = PruneStats::default();
         for (ci, (fam, reason)) in classifications.iter_mut().enumerate() {
             if reason.is_some() {
                 continue;
@@ -1858,14 +1608,8 @@ impl Verifier {
                 .collect();
             match replayed {
                 Some(rs) => {
-                    // Fold the family's stats into the sweep aggregate so
-                    // `sweep_stats` matches a from-scratch sweep (one
-                    // contribution per family, via its head report).
                     if let Some(head) = rs.iter().find(|r| r.family_head) {
-                        self.sweep_stats
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .merge(&head.stats);
+                        stats.merge(&head.stats);
                     }
                     reports.extend(rs);
                     if hoyan_obs::events_enabled() {
@@ -1897,6 +1641,8 @@ impl Verifier {
         hoyan_obs::metric!(counter "verify.families_reused").add(reused as u64);
         hoyan_obs::metric!(counter "verify.families_recomputed").add(dirty.len() as u64);
         let swept = self.sweep_families(&dirty, k, threads, opts, Some(&dirty_units))?;
+        stats.merge(&swept.stats);
+        Self::flush_sweep_gauges(&stats);
         for f in swept.families {
             new_cache.insert(CachedFamily {
                 prefixes: dirty[f.index].clone(),
@@ -1911,7 +1657,6 @@ impl Verifier {
             reports.extend(f.reports);
         }
         reports.sort_by_key(|r| r.prefix);
-        self.flush_sweep_gauges();
         Ok(ReverifyOutcome {
             reports,
             cache: new_cache,
@@ -1927,9 +1672,7 @@ impl Verifier {
 struct FamilySweep {
     /// Index into the family list handed to `sweep_families`.
     index: usize,
-    /// The family's prune-stats contribution, merged into the sweep
-    /// aggregate by the worker loop (not by `run_family`, so a fail-fast
-    /// abort can still suppress publication).
+    /// The family's prune-stats contribution to the sweep aggregate.
     stats: PruneStats,
     /// Per-prefix reports, in family order (head first).
     reports: Vec<PrefixReport>,
@@ -1937,10 +1680,6 @@ struct FamilySweep {
     deps: FamilyDeps,
     /// The family's resource bill, read off its arena at completion.
     cost: FamilyCost,
-    /// Modular-pipeline stage provenance (`None` for monolithic sweeps):
-    /// [`FamilyOutcome::ProvedAbstract`] when the abstract first pass
-    /// settled the family, [`FamilyOutcome::RefinedExact`] otherwise.
-    provenance: Option<FamilyOutcome>,
 }
 
 /// Everything a sweep produced: the completed families plus the
@@ -1950,6 +1689,8 @@ struct SweepOutcome {
     families: Vec<FamilySweep>,
     /// Families that errored, breached a budget or panicked.
     quarantined: Vec<QuarantinedFamily>,
+    /// Prune stats folded over the completed families.
+    stats: PruneStats,
 }
 
 /// Result of an incremental [`Verifier::reverify`] sweep.

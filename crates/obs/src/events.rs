@@ -97,14 +97,6 @@ pub enum EventKind {
     Quarantined,
     /// A clean family was replayed from the incremental cache.
     CacheReuse,
-    /// The modular pipeline's abstract first pass finished for the family.
-    StageAbstract {
-        /// Whether the over-approximation settled (proved) the family.
-        proved: bool,
-    },
-    /// The family entered the exact simulation stage of the modular
-    /// pipeline (either as refinement or because abstraction was off).
-    StageExact,
 }
 
 impl EventKind {
@@ -117,8 +109,6 @@ impl EventKind {
             EventKind::BudgetBreach => "budget-breach",
             EventKind::Quarantined => "quarantined",
             EventKind::CacheReuse => "cache-reuse",
-            EventKind::StageAbstract { .. } => "stage-abstract",
-            EventKind::StageExact => "stage-exact",
         }
     }
 
@@ -130,11 +120,7 @@ impl EventKind {
     fn rank(&self) -> u8 {
         match self {
             EventKind::FamilyStart => 0,
-            EventKind::GcRun { .. }
-            | EventKind::BudgetBreach
-            | EventKind::CacheReuse
-            | EventKind::StageAbstract { .. }
-            | EventKind::StageExact => 1,
+            EventKind::GcRun { .. } | EventKind::BudgetBreach | EventKind::CacheReuse => 1,
             EventKind::FamilyEnd { .. } => 2,
             EventKind::Quarantined => 3,
         }

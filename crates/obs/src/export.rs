@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": 2,
+//!   "schema": 3,
 //!   "counters": {"bdd.ops": 12034, "...": 0},
 //!   "gauges": {"bdd.peak_nodes": 4096},
 //!   "histograms": {"propagate.steps_per_run":
@@ -21,12 +21,15 @@
 //! }
 //! ```
 //!
-//! Versioning rule: `schema` bumps when a section is *added*; existing
-//! sections and keys never change shape or meaning within the lifetime of
-//! this exporter, so v1 consumers keep working against v2 output. Schema 2
-//! added the `family_cost` section (per-family cost attribution from the
-//! sweep flight recorder, empty unless the recorder was armed) and the
-//! `obs.events_dropped` counter (flight-recorder ring overflow).
+//! Versioning rule: `schema` bumps when a section is *added* or a
+//! pre-registered key is *removed*; the keys that remain never change shape
+//! or meaning within the lifetime of this exporter. Schema 2 added the
+//! `family_cost` section (per-family cost attribution from the sweep flight
+//! recorder, empty unless the recorder was armed) and the
+//! `obs.events_dropped` counter (flight-recorder ring overflow). Schema 3
+//! removed `verify.families_abstract_proved`, `verify.families_refined`,
+//! `verify.regions` and `verify.region_boundary_links` together with the
+//! abstract first pass and region partitioning they described.
 //!
 //! Counters and histograms are deterministic for a fixed workload (they
 //! count work, not time); gauges may reflect runtime configuration (e.g.
@@ -38,7 +41,7 @@
 use std::fmt::Write as _;
 
 /// Version stamped into the `schema` field of the JSON export.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 fn escape(s: &str) -> String {
     s.chars()
@@ -466,7 +469,7 @@ mod tests {
         let j = export_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"schema\": 2"));
+        assert!(j.contains("\"schema\": 3"));
         assert!(j.contains("\"family_cost\": ["));
         let a = j.find("test.export.a").unwrap();
         let b = j.find("test.export.b").unwrap();

@@ -264,11 +264,9 @@ pub fn register_default_metrics() {
         "tuner.mismatches",
         "verify.equiv_families_skipped",
         "verify.families",
-        "verify.families_abstract_proved",
         "verify.families_over_budget",
         "verify.families_quarantined",
         "verify.families_recomputed",
-        "verify.families_refined",
         "verify.families_reused",
         "verify.prefixes",
         "verify.queries",
@@ -281,8 +279,6 @@ pub fn register_default_metrics() {
         "propagate.max_formula_len",
         "verify.fanout_families",
         "verify.fanout_threads",
-        "verify.region_boundary_links",
-        "verify.regions",
         "verify.sched_steals",
         "verify.sweep_delivered",
         "verify.sweep_dropped",

@@ -109,9 +109,9 @@ impl WanSpec {
 
     /// Paper-scale preset (~100 devices including DC and ISP edges):
     /// 4 regions of 2 CRs + 8 PEs + 3 MANs, i.e. 52 core routers, plus one
-    /// DC router per PE and one ISP per MAN. The scale used by
-    /// `experiments modular` to measure how much of the sweep the abstract
-    /// first pass settles.
+    /// DC router per PE and one ISP per MAN, with one flat /24 per family.
+    /// Behind `hoyan gen --size wan-large`; `tests/family_index.rs` checks
+    /// the prefix-family index on it.
     pub fn wan_large(seed: u64) -> WanSpec {
         WanSpec {
             seed,
@@ -712,7 +712,7 @@ mod tests {
     #[test]
     fn wan_large_is_paper_scale() {
         // The `gen --size wan-large` preset: ~100 devices total, pinned so
-        // the modular-pipeline benchmarks measure a stable workload.
+        // generated fixtures stay stable across PRs.
         let spec = WanSpec::wan_large(1);
         assert_eq!(spec.core_router_count(), 52);
         let wan = spec.build();

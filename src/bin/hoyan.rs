@@ -11,8 +11,7 @@
 //! hoyan equiv  <dir> --a CR0x0 --b CR0x1
 //! hoyan sweep  <dir> [--k 1] [--baseline <dirA>] [--fail-fast]
 //!              [--family-node-budget N] [--family-op-budget N]
-//!              [--family-deadline-ms MS]
-//!              [--modular] [--abstraction off|prove-only|full]
+//!              [--family-deadline-ms MS] [--bdd-order registration|dfs|bfs]
 //!              [--schedule roundrobin|deps] [--stream]
 //! hoyan diff   <dirA> <dirB> [--k 1]
 //! hoyan audit  <before-dir> <after-dir> [--k 1] [--prefix P]...
@@ -52,14 +51,8 @@
 //! section). The `--family-*-budget` flags become the per-request admission
 //! caps; `--workers` and `--queue` bound concurrency.
 //!
-//! `sweep --modular` runs the three-stage modular pipeline: partition the
-//! topology into role-derived regions, try the abstract (route-
-//! nondeterminism) first pass per prefix family, and fall through to the
-//! exact conditioned simulation where the abstraction is inconclusive.
-//! `--abstraction` picks what the first pass may decide: `prove-only` (the
-//! default) keeps reports byte-identical to a monolithic sweep and uses the
-//! pass for provenance/counters only; `full` lets proved families skip the
-//! exact stage; `off` disables the pass.
+//! Each subcommand accepts only its own flags: an unknown one (a typo such
+//! as `--thread 4`, or a retired option) is a usage error, exit code 2.
 //!
 //! Global flags (any subcommand): `--stats` prints a span-tree/metrics
 //! table, `--stats-json PATH` writes the metrics registry as deterministic
@@ -81,8 +74,7 @@ use std::process::ExitCode;
 
 use hoyan::config::{parse_config, ConfigSnapshot, DeviceConfig};
 use hoyan::core::{
-    AbstractionMode, FamilyBudget, FamilyOutcome, StreamedFamily, SweepOptions, SweepReport,
-    SweepSchedule, Verifier,
+    FamilyBudget, StreamedFamily, SweepOptions, SweepReport, SweepSchedule, Verifier,
 };
 use hoyan::device::{Packet, VsbProfile};
 use hoyan::nettypes::Ipv4Prefix;
@@ -328,18 +320,16 @@ fn num_flag(args: &[String], name: &str) -> Result<Option<u64>, CliError> {
     }
 }
 
+/// The per-family budget flags shared by `sweep` and `serve`.
+fn get_budget(args: &[String]) -> Result<FamilyBudget, CliError> {
+    Ok(FamilyBudget {
+        max_live_nodes: num_flag(args, "--family-node-budget")?.map(|v| v as usize),
+        max_ite_ops: num_flag(args, "--family-op-budget")?,
+        deadline_ms: num_flag(args, "--family-deadline-ms")?,
+    })
+}
+
 fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
-    let num = |name: &str| num_flag(args, name);
-    let abstraction = match flag(args, "--abstraction")?.as_deref() {
-        None | Some("prove-only") => AbstractionMode::ProveOnly,
-        Some("off") => AbstractionMode::Off,
-        Some("full") => AbstractionMode::Full,
-        Some(other) => {
-            return Err(usage(format!(
-                "unknown --abstraction `{other}` (off|prove-only|full)"
-            )))
-        }
-    };
     let schedule = match flag(args, "--schedule")?.as_deref() {
         None | Some("roundrobin") => SweepSchedule::RoundRobin,
         Some("deps") => SweepSchedule::Deps,
@@ -351,15 +341,69 @@ fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
     };
     Ok(SweepOptions {
         fail_fast: has_flag(args, "--fail-fast"),
-        budget: FamilyBudget {
-            max_live_nodes: num("--family-node-budget")?.map(|v| v as usize),
-            max_ite_ops: num("--family-op-budget")?,
-            deadline_ms: num("--family-deadline-ms")?,
-        },
-        modular: has_flag(args, "--modular"),
-        abstraction,
+        budget: get_budget(args)?,
         schedule,
     })
+}
+
+/// The flags a subcommand accepts once the global flags are stripped:
+/// `(takes a value, switches)`. `None` for the usage screen.
+fn subcommand_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match cmd {
+        "gen" => (&["--size", "--seed"], &[]),
+        "verify" => (&["--prefix", "--device", "--k"], &[]),
+        "packet" => (&["--prefix", "--from", "--k", "--proto"], &[]),
+        "scope" | "racing" => (&["--prefix"], &[]),
+        "routers" => (&["--prefix", "--device"], &[]),
+        "equiv" => (&["--a", "--b"], &[]),
+        "sweep" => (
+            &[
+                "--k",
+                "--threads",
+                "--baseline",
+                "--family-node-budget",
+                "--family-op-budget",
+                "--family-deadline-ms",
+                "--bdd-order",
+                "--schedule",
+            ],
+            &["--fail-fast", "--stream"],
+        ),
+        "diff" => (&["--k", "--threads"], &[]),
+        "audit" => (&["--k", "--prefix"], &[]),
+        "tune" => (&[], &[]),
+        "serve" => (
+            &[
+                "--addr",
+                "--k",
+                "--workers",
+                "--queue",
+                "--threads",
+                "--family-node-budget",
+                "--family-op-budget",
+                "--family-deadline-ms",
+            ],
+            &[],
+        ),
+        _ => return None,
+    })
+}
+
+/// Rejects any `--flag` the subcommand does not accept, so a typo (or a
+/// retired option) never silently runs something other than what the
+/// caller asked for. Values never start with `--` (see [`flag`]), so only
+/// flag names are checked; missing values are left to [`flag`] to report.
+fn reject_unknown_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    let Some((valued, switches)) = subcommand_flags(cmd) else {
+        return Ok(());
+    };
+    for arg in args.iter().skip(1).filter(|a| a.starts_with("--")) {
+        let name = arg.split_once('=').map_or(arg.as_str(), |(n, _)| n);
+        if !(valued.contains(&name) || switches.contains(&arg.as_str())) {
+            return Err(usage(format!("unknown flag `{arg}` for `{cmd}`")));
+        }
+    }
+    Ok(())
 }
 
 fn print_delta(delta: &hoyan::config::SnapshotDelta, snap_b: &ConfigSnapshot) {
@@ -414,6 +458,7 @@ fn fam_label(fam: &[Ipv4Prefix]) -> String {
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
+    reject_unknown_flags(cmd, args)?;
     match cmd {
         "gen" => {
             let dir = args.get(1).ok_or_else(|| usage("gen needs a target directory"))?;
@@ -656,22 +701,10 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         SweepReport {
                             reports: outcome.reports,
                             quarantined: outcome.quarantined,
-                            provenance: Vec::new(),
                         },
                     )
                 }
             };
-            if !swept.provenance.is_empty() {
-                let proved = swept
-                    .provenance
-                    .iter()
-                    .filter(|p| matches!(p.outcome, FamilyOutcome::ProvedAbstract))
-                    .count();
-                println!(
-                    "modular pipeline: {proved} family(ies) proved by abstract pass, {} refined exactly",
-                    swept.provenance.len() - proved
-                );
-            }
             if !swept.quarantined.is_empty() {
                 println!(
                     "{} family(ies) quarantined (reports above exclude them):",
@@ -816,7 +849,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 None => 4,
             };
             let queue_cap = num_flag(args, "--queue")?.unwrap_or(64) as usize;
-            let sweep_opts = get_sweep_options(args)?;
+            let budget = get_budget(args)?;
             let configs = load_dir(dir)?;
             let server = hoyan::core::Server::bind(
                 configs,
@@ -826,7 +859,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     queue_cap,
                     k,
                     sweep_threads: get_threads(args)?,
-                    budget: sweep_opts.budget,
+                    budget,
                     retry_after_ms: 100,
                 },
             )
@@ -862,8 +895,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                  \x20 hoyan equiv  <dir> --a D1 --b D2\n\
                  \x20 hoyan sweep  <dir> [--k K] [--threads N] [--baseline <dirA>] [--fail-fast]\n\
                  \x20              [--family-node-budget N] [--family-op-budget N] [--family-deadline-ms MS]\n\
-                 \x20              [--bdd-order registration|dfs|bfs]\n\
-                 \x20              [--modular] [--abstraction off|prove-only|full]\n\
+                 \x20              [--bdd-order registration|dfs|bfs] [--schedule roundrobin|deps] [--stream]\n\
                  \x20 hoyan diff   <dirA> <dirB> [--k K] [--threads N]\n\
                  \x20 hoyan audit  <before-dir> <after-dir> [--k K] [--prefix P ...]\n\
                  \x20 hoyan tune   <dir>\n\

@@ -365,3 +365,79 @@ fn incremental_sweep_matches_fresh_sweep_output() {
     let _ = std::fs::remove_dir_all(&a);
     let _ = std::fs::remove_dir_all(&b);
 }
+
+#[test]
+fn unknown_flags_exit_with_usage_code_2() {
+    let dir = tempdir("unknown-flag");
+    let out = hoyan()
+        .args([
+            "gen",
+            dir.to_str().unwrap(),
+            "--size",
+            "tiny",
+            "--seed",
+            "7",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let d = dir.to_str().unwrap();
+
+    // Retired options and typos must not quietly run a different sweep
+    // than the caller asked for.
+    let cases: &[(&[&str], &str)] = &[
+        (&["sweep", d, "--modular"], "--modular"),
+        (&["sweep", d, "--abstraction", "full"], "--abstraction"),
+        (&["sweep", d, "--thread", "4"], "--thread"),
+        (&["sweep", d, "--k=1", "--fail-fast=yes"], "--fail-fast=yes"),
+        (
+            &[
+                "verify",
+                d,
+                "--prefix",
+                "10.0.0.0/24",
+                "--device",
+                "CR1x0",
+                "--threads",
+                "2",
+            ],
+            "--threads",
+        ),
+        (&["serve", d, "--schedule", "deps"], "--schedule"),
+    ];
+    for (args, bad) in cases {
+        let out = hoyan().args(*args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} must exit 2 (usage): {err}"
+        );
+        assert!(
+            err.contains(&format!("unknown flag `{bad}`")),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+    }
+
+    // Accepted spellings still work, global flags included.
+    let out = hoyan()
+        .args([
+            "sweep",
+            d,
+            "--k=1",
+            "--threads",
+            "2",
+            "--schedule",
+            "deps",
+            "--quiet",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

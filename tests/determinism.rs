@@ -4,10 +4,7 @@
 //! reports atomically and sorting the final list by prefix; this test pins
 //! the guarantee on a seeded topogen WAN.
 
-use hoyan::core::{
-    AbstractionMode, FamilyOutcome, PrefixReport, StreamedFamily, SweepOptions, SweepSchedule,
-    Verifier,
-};
+use hoyan::core::{PrefixReport, StreamedFamily, SweepOptions, SweepSchedule, Verifier};
 use hoyan::device::VsbProfile;
 use hoyan::logic::BddOrdering;
 use hoyan::topogen::WanSpec;
@@ -106,95 +103,6 @@ fn sweep_verdicts_are_ordering_and_thread_invariant() {
             }
         }
     }
-}
-
-/// The modular pipeline's headline soundness pin: with the default
-/// `prove-only` abstraction, `sweep --modular` must produce a report list
-/// *byte-identical* (modulo wall-clock timings) to the monolithic sweep —
-/// at 1, 2 and 8 threads. The abstract first pass may only ever add
-/// provenance, never change a verdict, a scope, a pruning count or a
-/// formula size.
-#[test]
-fn modular_prove_only_matches_monolithic_at_any_thread_count() {
-    let wan = WanSpec::tiny(9).build();
-    let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
-    let monolithic = verifier.verify_all_routes(1, 1).unwrap();
-    assert!(!monolithic.reports.is_empty());
-    assert!(monolithic.provenance.is_empty(), "monolithic sweeps carry no provenance");
-    let opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::ProveOnly,
-        ..SweepOptions::default()
-    };
-    for threads in [1usize, 2, 8] {
-        let modular = verifier.verify_all_routes_opts(1, threads, &opts).unwrap();
-        assert_reports_equal(
-            &monolithic.reports,
-            &modular.reports,
-            &format!("modular prove-only, threads={threads}"),
-        );
-        assert_eq!(
-            monolithic.quarantined, modular.quarantined,
-            "quarantined sets must match (threads={threads})"
-        );
-        // Provenance covers every completed family and is index-ordered.
-        assert_eq!(modular.provenance.len(), verifier.families().len());
-        assert!(modular
-            .provenance
-            .windows(2)
-            .all(|w| w[0].index < w[1].index));
-    }
-}
-
-/// `--abstraction full` skips the exact stage for proved families, so the
-/// formula-size/stat fields may legitimately differ — but the *verdicts*
-/// (scope, fragile sets) must match the monolithic sweep, and the whole
-/// report must be thread-count invariant.
-#[test]
-fn modular_full_verdicts_match_and_are_thread_invariant() {
-    let wan = WanSpec::tiny(13).build();
-    let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
-    let monolithic = verifier.verify_all_routes(1, 1).unwrap().reports;
-    let opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::Full,
-        ..SweepOptions::default()
-    };
-    let serial = verifier.verify_all_routes_opts(1, 1, &opts).unwrap();
-    assert_eq!(monolithic.len(), serial.reports.len());
-    for (m, f) in monolithic.iter().zip(&serial.reports) {
-        assert_eq!(m.prefix, f.prefix);
-        assert_eq!(m.scope, f.scope, "full-mode scope differs for {}", m.prefix);
-        assert_eq!(m.fragile, f.fragile, "full-mode fragility differs for {}", m.prefix);
-    }
-    // At least part of this fixture must actually exercise the fast path,
-    // otherwise the test proves nothing about synthesized reports.
-    assert!(
-        serial
-            .provenance
-            .iter()
-            .any(|p| p.outcome == FamilyOutcome::ProvedAbstract),
-        "no family was abstract-proved on the fixture"
-    );
-    for threads in [2usize, 8] {
-        let parallel = verifier.verify_all_routes_opts(1, threads, &opts).unwrap();
-        assert_reports_equal(
-            &serial.reports,
-            &parallel.reports,
-            &format!("modular full, threads=1 vs {threads}"),
-        );
-        assert_eq!(serial.provenance, parallel.provenance, "threads={threads}");
-    }
-    // `--abstraction off` under `--modular` degenerates to the monolithic
-    // sweep: same reports, no provenance.
-    let off = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::Off,
-        ..SweepOptions::default()
-    };
-    let off_report = verifier.verify_all_routes_opts(1, 2, &off).unwrap();
-    assert_reports_equal(&monolithic, &off_report.reports, "abstraction=off");
-    assert!(off_report.provenance.is_empty());
 }
 
 /// A multi-region fixture big enough for the dependency planner to emit

@@ -14,8 +14,7 @@ use std::sync::Mutex;
 
 use hoyan::config::ConfigSnapshot;
 use hoyan::core::{
-    AbstractionMode, DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError,
-    SweepOptions, Verifier,
+    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, Verifier,
 };
 use hoyan::device::VsbProfile;
 use hoyan::rt::fault::{self, FaultKind, FaultPlan};
@@ -250,112 +249,6 @@ fn reverify_retries_quarantined_families() {
     let a: Vec<String> = fresh.reports.iter().map(stable_view).collect();
     let b: Vec<String> = outcome.reports.iter().map(stable_view).collect();
     assert_eq!(a, b, "retried family must reproduce the fresh sweep");
-}
-
-/// The modular pipeline's own fault site: an error, a budget breach or a
-/// panic injected *during the abstract first pass* quarantines only that
-/// family — its neighbors (same region or not) still complete, at any
-/// thread count.
-#[test]
-fn abstract_stage_faults_quarantine_only_that_family() {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::Full,
-        ..SweepOptions::default()
-    };
-    fault::install(
-        FaultPlan::new()
-            .at("verify.abstract", &[1], FaultKind::Error)
-            .at("verify.abstract", &[2], FaultKind::OverBudget)
-            .at("verify.abstract", &[3], FaultKind::Panic),
-    );
-    let mut snapshots = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let v = verifier();
-        let n = v.families().len();
-        assert!(n >= 4, "need >= 4 families to plant 3 faults, got {n}");
-        let before = hoyan::obs::counter_values();
-        let swept = v.verify_all_routes_opts(K, threads, &opts).unwrap();
-        let deltas = counter_deltas(&before, &hoyan::obs::counter_values());
-        assert_eq!(swept.quarantined.len(), 3, "threads={threads}");
-        assert_eq!(deltas["verify.families_quarantined"], 3);
-        assert_eq!(deltas["verify.families_over_budget"], 1);
-        assert_eq!(deltas["verify.families"], (n - 3) as u64);
-        // Completed families still carry provenance; quarantined ones don't.
-        assert_eq!(swept.provenance.len(), n - 3, "threads={threads}");
-        let injected = swept
-            .quarantined
-            .iter()
-            .find(|q| q.index == 1)
-            .expect("family 1 quarantined");
-        match &injected.outcome {
-            FamilyOutcome::Failed { reason } => {
-                assert!(reason.contains("verify.abstract"), "{reason}")
-            }
-            other => panic!("expected injected failure, got {other}"),
-        }
-        assert!(
-            matches!(
-                swept.quarantined.iter().find(|q| q.index == 2).unwrap().outcome,
-                FamilyOutcome::OverBudget { .. }
-            ),
-            "injected abstract-stage breach must route through the budget machinery"
-        );
-        let quarantined: Vec<String> = swept
-            .quarantined
-            .iter()
-            .map(|q| format!("{}:{:?}:{}", q.index, q.prefixes, q.outcome))
-            .collect();
-        let reports: Vec<String> = swept.reports.iter().map(stable_view).collect();
-        snapshots.push((threads, quarantined, reports, deltas));
-    }
-    fault::clear();
-    let (_, q1, r1, d1) = &snapshots[0];
-    for (threads, q, r, d) in &snapshots[1..] {
-        assert_eq!(q, q1, "quarantined set differs at threads={threads}");
-        assert_eq!(r, r1, "reports differ at threads={threads}");
-        assert_eq!(d, d1, "counter deltas differ at threads={threads}");
-    }
-}
-
-/// A family quarantined by an abstract-stage fault is retried by
-/// `reverify` once the fault clears — on the exact path — and reproduces a
-/// fresh sweep's reports.
-#[test]
-fn abstract_fault_reverify_retries_on_exact_path() {
-    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    let wan = WanSpec::tiny(9).build();
-    let snap = ConfigSnapshot::new(wan.configs.clone());
-    let delta = snap.diff(&snap);
-    // Prove-only keeps cached reports byte-identical to exact ones, so the
-    // reused families compare cleanly against a fresh monolithic sweep.
-    let opts = SweepOptions {
-        modular: true,
-        abstraction: AbstractionMode::ProveOnly,
-        ..SweepOptions::default()
-    };
-    fault::install(FaultPlan::new().at("verify.abstract", &[1], FaultKind::Error));
-    let v = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).unwrap();
-    let n = v.families().len();
-    let (base, cache) = v.verify_all_routes_cached_opts(K, 2, &opts).unwrap();
-    fault::clear();
-    assert_eq!(base.quarantined.len(), 1);
-    assert_eq!(cache.len(), n - 1, "quarantined family must not be cached");
-
-    let v2 = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).unwrap();
-    let outcome = v2.reverify(&delta, &cache, K, 2).unwrap();
-    assert_eq!(outcome.recomputed, 1, "exactly the quarantined family");
-    assert_eq!(outcome.reused, n - 1);
-    assert!(outcome.quarantined.is_empty());
-
-    let fresh = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(3))
-        .unwrap()
-        .verify_all_routes(K, 2)
-        .unwrap();
-    let a: Vec<String> = fresh.reports.iter().map(stable_view).collect();
-    let b: Vec<String> = outcome.reports.iter().map(stable_view).collect();
-    assert_eq!(a, b, "exact-path retry must reproduce the fresh sweep");
 }
 
 /// Regression: a family classified *clean* whose cache entry has drifted

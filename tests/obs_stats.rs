@@ -10,6 +10,11 @@
 
 use std::process::Command;
 
+use hoyan::config::ConfigSnapshot;
+use hoyan::core::Verifier;
+use hoyan::device::VsbProfile;
+use hoyan::topogen::WanSpec;
+
 fn hoyan() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hoyan"))
 }
@@ -35,39 +40,6 @@ fn deterministic_sections(json: &str) -> String {
 
 fn sweep_stats_json(dir: &std::path::Path, threads: &str, tag: &str) -> String {
     sweep_stats_json_ordered(dir, threads, tag, "registration")
-}
-
-/// Like [`sweep_stats_json`] but running the modular pipeline
-/// (`--modular --abstraction <mode>`).
-fn sweep_stats_json_modular(
-    dir: &std::path::Path,
-    threads: &str,
-    tag: &str,
-    abstraction: &str,
-) -> String {
-    let json_path = dir.join(format!("stats-{tag}.json"));
-    let out = hoyan()
-        .args([
-            "sweep",
-            dir.to_str().unwrap(),
-            "--k",
-            "1",
-            "--threads",
-            threads,
-            "--modular",
-            "--abstraction",
-            abstraction,
-            "--stats-json",
-            json_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::read_to_string(&json_path).unwrap()
 }
 
 fn sweep_stats_json_ordered(
@@ -119,10 +91,10 @@ fn counters_are_identical_across_runs_and_thread_counts() {
     assert!(out.status.success());
 
     let full = sweep_stats_json(&dir, "1", "t1");
-    // Schema v2: the version marker, the flight-recorder drop counter, the
+    // Schema v3: the version marker, the flight-recorder drop counter, the
     // shared-base attribution counter and the family_cost section are all
     // pinned into every export.
-    assert!(full.contains("\"schema\": 2,"), "{full}");
+    assert!(full.contains("\"schema\": 3,"), "{full}");
     assert!(full.contains("\"obs.events_dropped\""), "{full}");
     assert!(full.contains("\"verify.shared_base_ops\""), "{full}");
     assert!(full.contains("\"family_cost\""), "{full}");
@@ -161,75 +133,6 @@ fn counters_are_identical_across_runs_and_thread_counts() {
             baseline, got,
             "counters/histograms must not depend on scheduling (threads={threads})"
         );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The modular pipeline's stage counters are pinned into the schema-v2
-/// export — present (zeroed) even on monolithic sweeps — and, like every
-/// counter, byte-identical across thread counts when the pipeline runs.
-#[test]
-fn modular_stage_counters_are_pinned_and_thread_invariant() {
-    let dir = std::env::temp_dir().join(format!("hoyan-obs-mod-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = hoyan()
-        .args(["gen", dir.to_str().unwrap(), "--size", "tiny", "--seed", "11"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // Monolithic sweep: the counters exist in the schema, both zero, and
-    // the region gauges are pinned too.
-    let plain = sweep_stats_json(&dir, "1", "plain");
-    assert!(
-        plain.contains("\"verify.families_abstract_proved\": 0,"),
-        "{plain}"
-    );
-    assert!(plain.contains("\"verify.families_refined\": 0,"), "{plain}");
-    assert!(plain.contains("\"verify.regions\""), "{plain}");
-    assert!(plain.contains("\"verify.region_boundary_links\""), "{plain}");
-
-    // Modular prove-only sweep: every family carries provenance, so the
-    // two stage counters must sum to the family count.
-    let modular = sweep_stats_json_modular(&dir, "1", "mod-t1", "prove-only");
-    let count = |json: &str, key: &str| -> u64 {
-        let at = json.find(key).unwrap_or_else(|| panic!("no {key} in {json}"));
-        json[at + key.len()..]
-            .trim_start_matches([':', ' '])
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
-    let proved = count(&modular, "\"verify.families_abstract_proved\"");
-    let refined = count(&modular, "\"verify.families_refined\"");
-    let families = count(&modular, "\"verify.families\"");
-    assert_eq!(proved + refined, families, "{modular}");
-    assert!(proved > 0, "abstract pass settled nothing on the fixture");
-
-    // Thread-count invariance of the whole counter/histogram section, in
-    // both prove-only and full mode.
-    for mode in ["prove-only", "full"] {
-        let baseline = deterministic_sections(&sweep_stats_json_modular(
-            &dir,
-            "1",
-            &format!("{mode}-t1"),
-            mode,
-        ));
-        for threads in ["2", "8"] {
-            let got = deterministic_sections(&sweep_stats_json_modular(
-                &dir,
-                threads,
-                &format!("{mode}-t{threads}"),
-                mode,
-            ));
-            assert_eq!(
-                baseline, got,
-                "mode={mode}: counters must not depend on threads={threads}"
-            );
-        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -396,4 +299,145 @@ fn propagate_phase_tallies_appear_only_under_timing() {
     }
     assert!(!timed.contains("\"propagate.emit_ns\": 0,"), "{timed}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every key `register_default_metrics` pre-registers (schema v3).
+const DEFAULT_COUNTERS: [&str; 46] = [
+    "bdd.gc_runs",
+    "bdd.ite_cache_hits",
+    "bdd.ite_cache_misses",
+    "bdd.managers",
+    "bdd.nodes_created",
+    "bdd.nodes_reclaimed",
+    "bdd.ops",
+    "bdd.order.links",
+    "bdd.order.passes",
+    "bdd.shared_imports",
+    "bdd.unique_hits",
+    "bdd.unique_misses",
+    "isis.conditioned_sessions",
+    "isis.spf_runs",
+    "obs.events_dropped",
+    "obs.warnings",
+    "propagate.delivered",
+    "propagate.dropped_impossible",
+    "propagate.dropped_over_k",
+    "propagate.dropped_policy",
+    "propagate.runs",
+    "propagate.steps",
+    "racing.checks",
+    "racing.flood_capped",
+    "racing.slow_path",
+    "sat.conflicts",
+    "sat.decisions",
+    "sat.propagations",
+    "sat.restarts",
+    "sat.solves",
+    "serve.cache_hits",
+    "serve.cache_misses",
+    "serve.rejected",
+    "serve.requests",
+    "serve.reverify_dirty",
+    "tuner.checks",
+    "tuner.localization_candidates",
+    "tuner.mismatches",
+    "verify.equiv_families_skipped",
+    "verify.families",
+    "verify.families_over_budget",
+    "verify.families_quarantined",
+    "verify.families_recomputed",
+    "verify.families_reused",
+    "verify.prefixes",
+    "verify.queries",
+];
+const DEFAULT_GAUGES: [&str; 9] = [
+    "bdd.peak_nodes",
+    "bdd.shared_base_nodes",
+    "propagate.max_formula_len",
+    "verify.fanout_families",
+    "verify.fanout_threads",
+    "verify.sched_steals",
+    "verify.sweep_delivered",
+    "verify.sweep_dropped",
+    "verify.sweep_max_formula_len",
+];
+
+/// Schema v3 removed four keys along with the code that set them; every
+/// other default key must still be exported by a plain sweep.
+#[test]
+fn default_keys_are_pinned_and_removed_keys_are_gone() {
+    let dir = std::env::temp_dir().join(format!("hoyan-obs-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = hoyan()
+        .args([
+            "gen",
+            dir.to_str().unwrap(),
+            "--size",
+            "tiny",
+            "--seed",
+            "11",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let json = sweep_stats_json(&dir, "2", "keys");
+    assert!(json.contains("\"schema\": 3,"), "{json}");
+    for key in DEFAULT_COUNTERS.iter().chain(&DEFAULT_GAUGES) {
+        assert!(
+            json.contains(&format!("\"{key}\": ")),
+            "missing {key} in {json}"
+        );
+    }
+    assert!(json.contains("\"propagate.steps_per_run\": "), "{json}");
+    for removed in [
+        "verify.families_abstract_proved",
+        "verify.families_refined",
+        "verify.regions",
+        "verify.region_boundary_links",
+    ] {
+        assert!(
+            !json.contains(&format!("\"{removed}\"")),
+            "{removed} still exported"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `verify.sweep_*` gauges describe the sweep that set them: sweeping
+/// twice on one `Verifier` — or replaying every family through `reverify`
+/// — publishes what one sweep on a fresh `Verifier` does (the aggregate
+/// used to carry over and double). In-process, which is safe in this
+/// binary: every other test here drives the CLI in a child process, so
+/// nothing else writes this process's registry.
+#[test]
+fn sweep_gauges_describe_one_sweep_not_the_verifier_lifetime() {
+    const KEYS: [&str; 3] = [
+        "verify.sweep_delivered",
+        "verify.sweep_dropped",
+        "verify.sweep_max_formula_len",
+    ];
+    let gauges = || {
+        let g = hoyan::obs::gauge_values();
+        KEYS.map(|k| g.get(k).copied().unwrap_or(0))
+    };
+    let wan = WanSpec::tiny(11).build();
+    let verifier =
+        || Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).unwrap();
+
+    verifier().verify_all_routes(1, 2).unwrap();
+    let once = gauges();
+    assert!(once[0] > 0 && once[1] > 0, "{once:?}");
+
+    let v = verifier();
+    v.verify_all_routes(1, 2).unwrap();
+    v.verify_all_routes(1, 2).unwrap();
+    assert_eq!(gauges(), once, "second sweep on one Verifier");
+    let (_, cache) = v.verify_all_routes_cached(1, 2).unwrap();
+    assert_eq!(gauges(), once, "cached sweep on a reused Verifier");
+    let snap = ConfigSnapshot::new(wan.configs.clone());
+    let outcome = v.reverify(&snap.diff(&snap), &cache, 1, 2).unwrap();
+    assert_eq!(outcome.recomputed, 0, "an empty delta replays every family");
+    assert_eq!(gauges(), once, "reverify replaying every family");
 }
