@@ -229,8 +229,9 @@ pub fn origin_prefixes(cfg: &DeviceConfig) -> BTreeSet<Ipv4Prefix> {
 /// Origin fingerprints of a config: for every prefix the device can
 /// originate, a stable description of *how*. A differing fingerprint means
 /// the seeding of that prefix (or the suppression of its aggregate
-/// siblings) may change.
-fn origin_fingerprints(cfg: &DeviceConfig) -> BTreeMap<Ipv4Prefix, Vec<String>> {
+/// siblings) may change — the dirty rules compare them across snapshots,
+/// and the sweep's behaviour classes compare them across prefixes.
+pub fn origin_fingerprints(cfg: &DeviceConfig) -> BTreeMap<Ipv4Prefix, Vec<String>> {
     let mut out: BTreeMap<Ipv4Prefix, Vec<String>> = BTreeMap::new();
     let redistributes_static = cfg
         .bgp

@@ -33,8 +33,8 @@ pub mod parse;
 pub mod update;
 
 pub use diff::{
-    content_hash, declared_peers, origin_prefixes, ConfigSnapshot, DeviceRef, ModifiedDevice,
-    SnapshotDelta,
+    content_hash, declared_peers, origin_fingerprints, origin_prefixes, ConfigSnapshot, DeviceRef,
+    ModifiedDevice, SnapshotDelta,
 };
 pub use ir::{
     AclEntry, AclProto, Action, Aggregate, BgpConfig, CommunityList, DeviceConfig,

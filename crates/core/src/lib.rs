@@ -15,6 +15,7 @@
 //! at most `k` link failures (§5), with aggressive pruning of branches whose
 //! conditions are impossible or need more than `k` failures (§5.6).
 
+mod classes;
 pub mod fib;
 pub mod isis;
 pub mod network;
@@ -31,7 +32,7 @@ pub use isis::{IsisDb, IsisHop};
 pub use network::{link_order, BgpSession, NetworkModel};
 pub use packet::{packet_reach, packet_reach_ecmp, EcmpMode, PacketWalk};
 pub use propagate::{
-    AttachedBase, DepTrace, Entry, Mode, Proto, PruneStats, RibView, SharedBase, SimError,
+    AttachedBase, DepTrace, Entry, IdSet, Mode, Proto, PruneStats, RibView, SharedBase, SimError,
     Simulation, LOCAL_WEIGHT,
 };
 pub use racing::{racing_check, RacingReport};

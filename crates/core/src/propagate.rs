@@ -106,14 +106,77 @@ impl PruneStats {
 pub struct DepTrace {
     /// Nodes that seeded a local entry (origin announcements, statics via
     /// redistribution).
-    pub origin_nodes: std::collections::BTreeSet<u32>,
+    pub origin_nodes: IdSet,
     /// Every node that participated: seeded an entry, sent a message, or
     /// was offered one (counted even when ingress dropped it — the
     /// receiver's config decided the drop).
-    pub touched_nodes: std::collections::BTreeSet<u32>,
+    pub touched_nodes: IdSet,
     /// Links that carried (or conditioned) an emitted message.
-    pub touched_links: std::collections::BTreeSet<u32>,
+    pub touched_links: IdSet,
 }
+
+impl DepTrace {
+    /// An empty trace sized for `nodes` node ids and `links` link ids.
+    pub fn new(nodes: usize, links: usize) -> DepTrace {
+        DepTrace {
+            origin_nodes: IdSet::with_capacity(nodes),
+            touched_nodes: IdSet::with_capacity(nodes),
+            touched_links: IdSet::with_capacity(links),
+        }
+    }
+}
+
+/// A dense set of node or link ids, one bit per id. Sized up front from
+/// the topology, so marking an id on the emit/deliver hot path is a shift
+/// and an OR, not a tree insert; iteration is ascending, like the ordered
+/// set it replaces.
+#[derive(Clone, Debug, Default)]
+pub struct IdSet {
+    words: Vec<u64>,
+}
+
+impl IdSet {
+    /// An empty set with room for ids `0..capacity` (it grows on demand).
+    pub fn with_capacity(capacity: usize) -> IdSet {
+        IdSet {
+            words: vec![0; capacity.div_ceil(64)],
+        }
+    }
+
+    /// Adds `id`.
+    #[inline]
+    pub fn insert(&mut self, id: u32) {
+        let w = (id / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (id % 64);
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(wi as u32 * 64 + bit)
+            })
+        })
+    }
+}
+
+/// Set equality: the capacity a set was sized with does not matter.
+impl PartialEq for IdSet {
+    fn eq(&self, other: &IdSet) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for IdSet {}
 
 /// Simulation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -573,7 +636,7 @@ impl<'n> Simulation<'n> {
             deadline: None,
             stats: PruneStats::default(),
             max_cond_size: 0,
-            deps: DepTrace::default(),
+            deps: DepTrace::new(net.topology.node_count(), net.topology.link_count()),
         }
     }
 
@@ -1529,5 +1592,31 @@ impl<'n> Simulation<'n> {
 fn tock(slot: &mut u64, started: Option<Instant>) {
     if let Some(t) = started {
         *slot += t.elapsed().as_nanos() as u64;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn id_sets_behave_like_ordered_sets() {
+        let mut set = IdSet::with_capacity(70);
+        let mut tree = std::collections::BTreeSet::new();
+        for id in [69u32, 3, 64, 0, 3, 130, 63] {
+            set.insert(id);
+            tree.insert(id);
+        }
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            tree.iter().copied().collect::<Vec<_>>()
+        );
+        // Equality ignores the capacity a set was sized with.
+        let mut small = IdSet::default();
+        for id in &tree {
+            small.insert(*id);
+        }
+        assert_eq!(small, set);
+        assert_eq!(IdSet::with_capacity(500), IdSet::default());
     }
 }

@@ -96,9 +96,9 @@ pub struct FamilyDeps {
 impl FamilyDeps {
     /// Resolves a simulation's node/link-id trace to hostnames.
     pub fn from_trace(trace: &DepTrace, topo: &Topology) -> FamilyDeps {
-        let name = |id: &u32| topo.name(hoyan_nettypes::NodeId(*id)).to_string();
-        let link = |id: &u32| {
-            let (a, b) = topo.link_ends(LinkId(*id));
+        let name = |id: u32| topo.name(hoyan_nettypes::NodeId(id)).to_string();
+        let link = |id: u32| {
+            let (a, b) = topo.link_ends(LinkId(id));
             let (a, b) = (topo.name(a).to_string(), topo.name(b).to_string());
             if a < b {
                 (a, b)

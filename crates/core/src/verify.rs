@@ -282,22 +282,22 @@ impl FamilyBudget {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SweepSchedule {
     /// A bare atomic claim counter: the next free worker takes the next
-    /// family index, and the arena is recycled between families. The
-    /// historical behavior and the default.
+    /// behaviour class (in representative order), and the arena is
+    /// recycled between classes. The historical behavior and the default.
     #[default]
     RoundRobin,
-    /// Dependency-aware batching: families whose pre-simulation origin
+    /// Dependency-aware batching: classes whose pre-simulation origin
     /// footprints ([`crate::snapshot::OriginIndex`]) overlap are grouped
     /// into batches run back-to-back on one arena *without* recycling —
-    /// consecutive families re-hit the ITE cache and unique table they
-    /// share. Batches are planned deterministically up front and stolen
+    /// consecutive representatives re-hit the ITE cache and unique table
+    /// they share. Batches are planned deterministically up front and stolen
     /// whole between per-worker deques, so reports and counters stay
     /// identical to `RoundRobin` at any thread count; only the work (and
     /// the `bdd.ops` / `bdd.ite_cache_*` bill) shrinks.
     Deps,
 }
 
-/// Maximum families per [`SweepSchedule::Deps`] batch. Bounds how much
+/// Maximum classes per [`SweepSchedule::Deps`] batch. Bounds how much
 /// warm-arena state a chain accumulates (under warm chaining the node
 /// budget sees predecessors' still-live nodes until a GC) and keeps
 /// enough batches in flight to spread across workers.
@@ -358,6 +358,18 @@ enum FamilyFailure {
     /// off the handed-back arena before the recycle flushed it.
     Error(SimError, FamilyCost),
     Panic(Box<dyn std::any::Any + Send>),
+}
+
+impl FamilyFailure {
+    /// The same failure for another member of the failed representative's
+    /// class: errors are cloned at zero cost (the representative carries
+    /// the bill), and a panic is re-boxed as its message.
+    fn for_member(&self) -> FamilyFailure {
+        match self {
+            FamilyFailure::Error(e, _) => FamilyFailure::Error(e.clone(), FamilyCost::default()),
+            FamilyFailure::Panic(p) => FamilyFailure::Panic(Box::new(panic_message(p.as_ref()))),
+        }
+    }
 }
 
 /// Pops the next batch id for worker `w`: the front of its own deque
@@ -908,18 +920,23 @@ impl Verifier {
     /// Results come back ordered by family index, so callers see the same
     /// sequence for any thread count.
     ///
-    /// Fault tolerance: each family runs under `catch_unwind`; an error,
-    /// budget breach or panic quarantines *that family only* and the rest
-    /// of the sweep completes. With [`SweepOptions::fail_fast`] the sweep
-    /// instead aborts like the pre-quarantine implementation — but failures
-    /// are recorded keyed by family index, so the surfaced error is the
-    /// *lowest-index* failing family at any thread count (under the
-    /// round-robin schedule claims are issued in index order, so once a
-    /// failure at index `j` stops the claim counter, every index below it
-    /// has been claimed and its outcome recorded before the workers drain;
-    /// under [`SweepSchedule::Deps`] the surfaced error is the lowest
-    /// *recorded* failing index, which can vary with the thread count —
-    /// prefer the default schedule with `fail_fast`).
+    /// The unit of work is a behaviour class (`crate::classes`): families
+    /// whose prefix-dependent inputs are equal run one simulation, on the
+    /// lowest-index member (the representative), whose output is renamed
+    /// to every other member. Everything after that — reports, quarantine,
+    /// counters, streaming — stays per family.
+    ///
+    /// Fault tolerance: each class runs under `catch_unwind`; an error,
+    /// budget breach or panic quarantines *that class only* (every member,
+    /// with the representative's error) and the rest of the sweep
+    /// completes. With [`SweepOptions::fail_fast`] the sweep instead aborts
+    /// like the pre-quarantine implementation, surfacing the
+    /// *lowest-index* failing family at any thread count and under either
+    /// schedule: once a failure is recorded, workers skip every class whose
+    /// representative sorts above the lowest failure so far but keep
+    /// running the ones below it, so every lower index is decided before
+    /// the workers drain. A member cannot fail below its own
+    /// representative, so the lowest failure is always a representative.
     ///
     /// Determinism: a family's reports are pushed atomically (all or
     /// nothing), the final list is sorted by family index, and the
@@ -937,22 +954,51 @@ impl Verifier {
         self.sweep_families_sink(families, k, threads, opts, units, None)
     }
 
-    /// Plans the [`SweepSchedule::Deps`] batches: families that share an
-    /// origin device (per [`crate::snapshot::OriginIndex`] — the
-    /// pre-simulation footprint, so no simulation is needed to plan) are
-    /// unioned into clusters, and each cluster is split into runs of at
-    /// most [`DEPS_BATCH_MAX`] families. A batch is the unit of both
-    /// warmth and stealing: it always executes front-to-back on one arena,
-    /// so its ITE-cache reuse is identical wherever it lands. The plan is
-    /// computed on the calling thread from the family list and the configs
-    /// alone — thread-count invariant, like every counter derived from it.
-    fn plan_batches(&self, families: &[Vec<Ipv4Prefix>]) -> Vec<Vec<usize>> {
-        let _sp = hoyan_obs::span("verify.schedule");
+    /// Partitions `families` into behaviour classes, ordered by
+    /// representative. A family with a planted `verify.family` fault runs
+    /// as a class of its own, so the fault fires on exactly that family,
+    /// as it would without classes.
+    fn plan_classes(&self, families: &[Vec<Ipv4Prefix>]) -> Vec<Vec<usize>> {
+        let mut classes = crate::classes::partition(&self.net, families);
+        if hoyan_rt::fault::enabled() {
+            let planted = |i: usize| hoyan_rt::fault::planned("verify.family", i as u64);
+            let mut split = Vec::new();
+            for class in &mut classes {
+                for m in class.split_off(1) {
+                    if planted(m) {
+                        split.push(vec![m]);
+                    } else {
+                        class.push(m);
+                    }
+                }
+            }
+            classes.extend(split);
+            classes.sort_unstable_by_key(|c| c[0]);
+        }
+        classes
+    }
+
+    /// Plans the [`SweepSchedule::Deps`] batches over `classes`: classes
+    /// whose representatives share an origin device (per
+    /// [`crate::snapshot::OriginIndex`] — the pre-simulation footprint, so
+    /// no simulation is needed to plan) are unioned into clusters, and each
+    /// cluster is split into runs of at most [`DEPS_BATCH_MAX`] classes. A
+    /// batch is the unit of both warmth and stealing: it always executes
+    /// front-to-back on one arena, so its ITE-cache reuse is identical
+    /// wherever it lands. Batches list class indices in ascending order.
+    /// The plan is computed on the calling thread from the family list and
+    /// the configs alone — thread-count invariant, like every counter
+    /// derived from it.
+    fn plan_batches(
+        &self,
+        families: &[Vec<Ipv4Prefix>],
+        classes: &[Vec<usize>],
+    ) -> Vec<Vec<usize>> {
         let origins = crate::snapshot::OriginIndex::build(&self.net);
-        // Union-find over family indices keyed by shared origin device.
+        // Union-find over class indices keyed by shared origin device.
         // Unions always point the larger root at the smaller, so a
-        // cluster's root is its first family and the BTreeMap below walks
-        // clusters in first-family order.
+        // cluster's root is its first class and the BTreeMap below walks
+        // clusters in first-class order.
         fn find(parent: &mut [usize], mut i: usize) -> usize {
             while parent[i] != i {
                 parent[i] = parent[parent[i]];
@@ -960,30 +1006,30 @@ impl Verifier {
             }
             i
         }
-        let mut parent: Vec<usize> = (0..families.len()).collect();
+        let mut parent: Vec<usize> = (0..classes.len()).collect();
         let mut owner: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for (i, fam) in families.iter().enumerate() {
-            for dev in origins.origin_devices(fam) {
+        for (c, class) in classes.iter().enumerate() {
+            for dev in origins.origin_devices(&families[class[0]]) {
                 match owner.entry(dev) {
                     std::collections::hash_map::Entry::Occupied(e) => {
                         let a = find(&mut parent, *e.get());
-                        let b = find(&mut parent, i);
+                        let b = find(&mut parent, c);
                         if a != b {
                             parent[a.max(b)] = a.min(b);
                         }
                     }
                     std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(i);
+                        v.insert(c);
                     }
                 }
             }
         }
         let mut clusters: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for i in 0..families.len() {
+        for c in 0..classes.len() {
             clusters
-                .entry(find(&mut parent, i))
+                .entry(find(&mut parent, c))
                 .or_default()
-                .push(i);
+                .push(c);
         }
         let mut batches = Vec::new();
         for members in clusters.into_values() {
@@ -1010,7 +1056,7 @@ impl Verifier {
         units: Option<&[usize]>,
         mut sink: Option<&mut dyn FnMut(StreamedFamily)>,
     ) -> Result<SweepOutcome, SimError> {
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
         let _sweep = hoyan_obs::span("verify.sweep");
         // Fan-out occupancy: thread-count-dependent by nature, so a gauge
         // (the determinism contract covers counters/histograms only).
@@ -1028,8 +1074,9 @@ impl Verifier {
         // Recorder worker ids (for the opt-in `--timing` trace only; with
         // timing off the trace never exposes worker identity).
         let worker_seq = AtomicUsize::new(0);
-        // Armed only under fail-fast: quarantine never stops peers.
-        let failed = AtomicBool::new(false);
+        // The lowest failing family index so far (`usize::MAX`: none).
+        // Read only under fail-fast: quarantine never stops peers.
+        let min_failed = AtomicUsize::new(usize::MAX);
         // Failures keyed by family index: the map, not lock-acquisition
         // order, decides which error fail-fast surfaces.
         let failures = std::sync::Mutex::new(std::collections::BTreeMap::<usize, FamilyFailure>::new());
@@ -1042,13 +1089,20 @@ impl Verifier {
         // calling thread, so the value is thread-count invariant.
         hoyan_obs::metric!(counter "verify.shared_base_ops").add(base.construction_ops());
         let nw = threads.max(1);
-        // The dependency-aware plan (None = round-robin claim counter).
-        // Planned on the calling thread, so the batch count — a counter,
-        // covered by the determinism contract — never depends on `nw`.
-        let plan = match opts.schedule {
-            SweepSchedule::RoundRobin => None,
-            SweepSchedule::Deps => Some(self.plan_batches(families)),
+        // The behaviour classes and, under deps, their batch plan (None =
+        // round-robin claim counter). Planned on the calling thread, so
+        // the class and batch counts — counters, covered by the
+        // determinism contract — never depend on `nw`.
+        let (classes, plan) = {
+            let _sp = hoyan_obs::span("verify.schedule");
+            let classes = self.plan_classes(families);
+            let plan = match opts.schedule {
+                SweepSchedule::RoundRobin => None,
+                SweepSchedule::Deps => Some(self.plan_batches(families, &classes)),
+            };
+            (classes, plan)
         };
+        hoyan_obs::metric!(counter "verify.classes").add(classes.len() as u64);
         if let Some(batches) = &plan {
             hoyan_obs::metric!(counter "verify.sched_batches").add(batches.len() as u64);
         }
@@ -1084,14 +1138,18 @@ impl Verifier {
             let this = self;
             let results = &results;
             let failures = &failures;
-            let failed = &failed;
+            let min_failed = &min_failed;
             let next = &next;
             let worker_seq = &worker_seq;
             let base = &base;
+            let classes = &classes;
             let plan = &plan;
             let deques = &deques;
             let steals = &steals;
             let unit_of = &unit_of;
+            // Under fail-fast, a class whose representative sorts above
+            // the lowest failure so far cannot change the surfaced error.
+            let moot = move |i: usize| opts.fail_fast && i >= min_failed.load(Ordering::Acquire);
             let handles: Vec<_> = (0..nw)
                 .map(|w| {
                     let tx = tx.clone();
@@ -1100,8 +1158,8 @@ impl Verifier {
                             worker_seq.fetch_add(1, Ordering::Relaxed) as u32
                         );
                         // One warm BDD arena per worker, recycled between
-                        // families: node/table allocations survive, handles
-                        // and tallies do not (each family still accounts —
+                        // classes: node/table allocations survive, handles
+                        // and tallies do not (each class still accounts —
                         // and collects — as if it owned a fresh manager, so
                         // counters stay identical at any thread count). The
                         // shared base is imported once per arena (tally-
@@ -1110,29 +1168,27 @@ impl Verifier {
                         let mut attached = base.attach(&mut arena);
                         // Deps-schedule worker state: the batch being
                         // drained, the cursor into it, and whether the
-                        // warm chain from the previous family is intact.
+                        // warm chain from the previous class is intact.
                         let mut batch: &[usize] = &[];
                         let mut pos = 0usize;
                         let mut chain_warm = false;
                         let mut local_steals = 0u64;
                         loop {
-                            if opts.fail_fast && failed.load(Ordering::Acquire) {
-                                break;
-                            }
-                            // Claim the next family and decide the arena
+                            // Claim the next class and decide the arena
                             // temperature it starts at.
-                            let (i, warm) = match plan {
+                            let (c, warm) = match plan {
                                 // Round-robin: the bare claim counter;
-                                // every family starts cold.
+                                // every class starts cold. Claims ascend,
+                                // so the first moot one ends the worker.
                                 None => {
-                                    let i = next.fetch_add(1, Ordering::Relaxed);
-                                    if i >= families.len() {
+                                    let c = next.fetch_add(1, Ordering::Relaxed);
+                                    if c >= classes.len() || moot(classes[c][0]) {
                                         break;
                                     }
-                                    (i, false)
+                                    (c, false)
                                 }
                                 // Deps: drain the current batch front to
-                                // back (warm after its first family), then
+                                // back (warm after its first class), then
                                 // pop the next home batch or steal one.
                                 Some(batches) => {
                                     if pos >= batch.len() {
@@ -1145,20 +1201,28 @@ impl Verifier {
                                         pos = 0;
                                         chain_warm = false;
                                     }
-                                    let i = batch[pos];
+                                    let c = batch[pos];
                                     pos += 1;
+                                    if moot(classes[c][0]) {
+                                        // The rest of the batch sorts
+                                        // higher still.
+                                        pos = batch.len();
+                                        continue;
+                                    }
                                     let warm = chain_warm;
                                     chain_warm = true;
-                                    (i, warm)
+                                    (c, warm)
                                 }
                             };
+                            let class = &classes[c];
+                            let i = class[0];
                             // Arena prep happens at claim time. Cold:
                             // recycle — flushes the previous segment's
                             // tallies (a no-op on a pristine arena) and
                             // drops everything above the shared base.
                             // Warm: keep nodes and caches, flush tallies
                             // and restart the per-family accounting, so
-                            // each family still bills exactly its own
+                            // each class still bills exactly its own
                             // delta (`BddManager::next_family_warm`).
                             if warm {
                                 arena.next_family_warm();
@@ -1179,12 +1243,12 @@ impl Verifier {
                                 )
                             }));
                             let failure = match work {
-                                Ok((Ok(mut sweep), mgr)) => {
+                                Ok((Ok(sweep), mgr)) => {
                                     hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
                                         ops: sweep.cost.ops,
                                         peak_nodes: sweep.cost.peak_family_nodes,
                                     });
-                                    // The family's tallies stay on the
+                                    // The class's tallies stay on the
                                     // arena until the next claim recycles
                                     // or warm-chains it (or Drop flushes at
                                     // sweep end) — each segment folds into
@@ -1192,38 +1256,47 @@ impl Verifier {
                                     // either way.
                                     arena = mgr;
                                     // Under fail-fast, partial output must
-                                    // not be published past a peer's
-                                    // failure (pre-quarantine semantics).
-                                    if opts.fail_fast && failed.load(Ordering::Acquire) {
-                                        break;
+                                    // not be published past a failure
+                                    // (pre-quarantine semantics).
+                                    if opts.fail_fast
+                                        && min_failed.load(Ordering::Acquire) != usize::MAX
+                                    {
+                                        continue;
                                     }
-                                    hoyan_obs::metric!(counter "verify.families").inc();
-                                    hoyan_obs::metric!(counter "verify.prefixes")
-                                        .add(families[i].len() as u64);
-                                    if let Some(tx) = &tx {
-                                        // Streaming: hand the reports to
-                                        // the sink now (the bounded send
-                                        // is the backpressure) and keep a
-                                        // report-less shell for the
-                                        // post-join bookkeeping.
-                                        let reports = std::mem::take(&mut sweep.reports);
-                                        sweep.deps = FamilyDeps::default();
-                                        let _ = tx.send(StreamedFamily::Done {
-                                            index: sweep.index,
-                                            reports,
-                                            cost: sweep.cost,
-                                        });
+                                    let copies: Vec<FamilySweep> = class[1..]
+                                        .iter()
+                                        .map(|&m| sweep.for_member(m, &families[m]))
+                                        .collect();
+                                    let mut done = Vec::with_capacity(class.len());
+                                    for mut f in std::iter::once(sweep).chain(copies) {
+                                        hoyan_obs::metric!(counter "verify.families").inc();
+                                        hoyan_obs::metric!(counter "verify.prefixes")
+                                            .add(families[f.index].len() as u64);
+                                        if let Some(tx) = &tx {
+                                            // Streaming: hand the reports
+                                            // to the sink now (the bounded
+                                            // send is the backpressure) and
+                                            // keep a report-less shell for
+                                            // the post-join bookkeeping.
+                                            let _ = tx.send(StreamedFamily::Done {
+                                                index: f.index,
+                                                reports: std::mem::take(&mut f.reports),
+                                                cost: f.cost,
+                                            });
+                                            f.deps = FamilyDeps::default();
+                                        }
+                                        done.push(f);
                                     }
                                     results
                                         .lock()
                                         .unwrap_or_else(|p| p.into_inner())
-                                        .push(sweep);
+                                        .extend(done);
                                     continue;
                                 }
                                 Ok((Err(e), mgr)) => {
                                     // The error path hands the arena back
                                     // (via `into_manager`) with this
-                                    // family's tallies still on it: read
+                                    // class's tallies still on it: read
                                     // the partial cost now; the next
                                     // claim's recycle flushes it. A warm
                                     // chain never survives a failure.
@@ -1248,14 +1321,15 @@ impl Verifier {
                                     FamilyFailure::Panic(payload)
                                 }
                             };
-                            failures
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .insert(i, failure);
-                            if opts.fail_fast {
-                                failed.store(true, Ordering::Release);
-                                break;
+                            {
+                                let mut failures =
+                                    failures.lock().unwrap_or_else(|p| p.into_inner());
+                                for &m in &class[1..] {
+                                    failures.insert(m, failure.for_member());
+                                }
+                                failures.insert(i, failure);
                             }
+                            min_failed.fetch_min(i, Ordering::AcqRel);
                         }
                         steals.fetch_add(local_steals, Ordering::Relaxed);
                         // Merge this worker's event buffer into the global
@@ -1276,7 +1350,7 @@ impl Verifier {
                 }
             }
             // Join explicitly and re-raise the first *harness* panic (the
-            // per-family work is already caught above; anything escaping
+            // per-class work is already caught above; anything escaping
             // here is a bug in the sweep itself).
             let mut panic_payload = None;
             for h in handles {
@@ -1364,12 +1438,27 @@ impl Verifier {
         }
         // Publish the per-family cost attribution and the quarantine
         // verdicts to the flight recorder — post-join and in index order,
-        // so the merged log is deterministic at any thread count.
+        // so the merged log is deterministic at any thread count. Members
+        // are attributed at zero cost and labelled with their class.
         if hoyan_obs::events_enabled() {
+            let mut rep_of: Vec<usize> = (0..families.len()).collect();
+            for class in &classes {
+                for &m in class {
+                    rep_of[m] = class[0];
+                }
+            }
+            let label = |i: usize| match rep_of[i] {
+                r if r == i => family_label(&families[i]),
+                r => format!(
+                    "{} class of {}",
+                    family_label(&families[i]),
+                    family_label(&families[r])
+                ),
+            };
             for f in &out {
                 hoyan_obs::record_unit_cost(f.cost.unit_cost(
                     unit_of(f.index),
-                    family_label(&families[f.index]),
+                    label(f.index),
                     false,
                     false,
                 ));
@@ -1378,7 +1467,7 @@ impl Verifier {
                 hoyan_obs::record_for(unit_of(q.index), hoyan_obs::EventKind::Quarantined);
                 hoyan_obs::record_unit_cost(q.cost.unit_cost(
                     unit_of(q.index),
-                    family_label(&families[q.index]),
+                    label(q.index),
                     true,
                     false,
                 ));
@@ -1680,6 +1769,31 @@ struct FamilySweep {
     deps: FamilyDeps,
     /// The family's resource bill, read off its arena at completion.
     cost: FamilyCost,
+}
+
+impl FamilySweep {
+    /// This representative's sweep as another member of its behaviour
+    /// class sees it: the simulations are isomorphic, so report `i` is the
+    /// representative's report `i` renamed to the member's prefix `i`, with
+    /// the same stats and dependency footprint. The member costs nothing: the
+    /// representative carries the class's bill.
+    fn for_member(&self, index: usize, prefixes: &[Ipv4Prefix]) -> FamilySweep {
+        FamilySweep {
+            index,
+            stats: self.stats,
+            reports: self
+                .reports
+                .iter()
+                .zip(prefixes)
+                .map(|(r, &prefix)| PrefixReport {
+                    prefix,
+                    ..r.clone()
+                })
+                .collect(),
+            deps: self.deps.clone(),
+            cost: FamilyCost::default(),
+        }
+    }
 }
 
 /// Everything a sweep produced: the completed families plus the

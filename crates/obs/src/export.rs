@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": 3,
+//!   "schema": 4,
 //!   "counters": {"bdd.ops": 12034, "...": 0},
 //!   "gauges": {"bdd.peak_nodes": 4096},
 //!   "histograms": {"propagate.steps_per_run":
@@ -29,7 +29,9 @@
 //! `obs.events_dropped` counter (flight-recorder ring overflow). Schema 3
 //! removed `verify.families_abstract_proved`, `verify.families_refined`,
 //! `verify.regions` and `verify.region_boundary_links` together with the
-//! abstract first pass and region partitioning they described.
+//! abstract first pass and region partitioning they described. Schema 4
+//! added the `verify.classes` counter (simulations a sweep ran, one per
+//! behaviour class, beside the per-family `verify.families`).
 //!
 //! Counters and histograms are deterministic for a fixed workload (they
 //! count work, not time); gauges may reflect runtime configuration (e.g.
@@ -41,7 +43,7 @@
 use std::fmt::Write as _;
 
 /// Version stamped into the `schema` field of the JSON export.
-pub const SCHEMA_VERSION: u32 = 3;
+pub const SCHEMA_VERSION: u32 = 4;
 
 fn escape(s: &str) -> String {
     s.chars()
@@ -469,7 +471,7 @@ mod tests {
         let j = export_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"schema\": 3"));
+        assert!(j.contains("\"schema\": 4"));
         assert!(j.contains("\"family_cost\": ["));
         let a = j.find("test.export.a").unwrap();
         let b = j.find("test.export.b").unwrap();

@@ -262,6 +262,7 @@ pub fn register_default_metrics() {
         "tuner.checks",
         "tuner.localization_candidates",
         "tuner.mismatches",
+        "verify.classes",
         "verify.equiv_families_skipped",
         "verify.families",
         "verify.families_over_budget",

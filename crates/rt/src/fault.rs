@@ -224,6 +224,20 @@ pub fn hit(site: &str, index: u64) -> Option<Fault> {
     hit_armed(site, index)
 }
 
+/// Whether [`hit`] would fire at `(site, index)`, asked without firing —
+/// a planned panic does not unwind here. Lets a caller that would
+/// otherwise skip the site (the sweep's behaviour classes do not run
+/// their non-representative members) route a planned fault through it.
+pub fn planned(site: &str, index: u64) -> bool {
+    if !ARMED.load(Ordering::Relaxed) {
+        return false;
+    }
+    let guard = PLAN.lock().unwrap_or_else(|p| p.into_inner());
+    guard
+        .as_ref()
+        .is_some_and(|p| p.decide(site, index).is_some())
+}
+
 #[cold]
 fn hit_armed(site: &str, index: u64) -> Option<Fault> {
     let kind = {
@@ -275,7 +289,9 @@ mod tests {
         assert_eq!(hit("verify.family", 4), Some(Fault::Error));
         assert_eq!(hit("other.site", 1), Some(Fault::OverBudget));
         assert_eq!(hit("unplanned.site", 1), None);
+        assert!(planned("verify.family", 4) && !planned("verify.family", 0));
         clear();
+        assert!(!planned("verify.family", 4));
         assert_eq!(hit("verify.family", 1), None);
     }
 
@@ -283,6 +299,7 @@ mod tests {
     fn planned_panic_fires_inside_hit() {
         let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         install(FaultPlan::new().at("panic.site", &[2], FaultKind::Panic));
+        assert!(planned("panic.site", 2), "asking does not fire");
         let caught = std::panic::catch_unwind(|| hit("panic.site", 2));
         clear();
         let payload = caught.expect_err("planned panic must unwind");

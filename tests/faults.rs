@@ -14,7 +14,8 @@ use std::sync::Mutex;
 
 use hoyan::config::ConfigSnapshot;
 use hoyan::core::{
-    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, Verifier,
+    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, SweepSchedule,
+    Verifier,
 };
 use hoyan::device::VsbProfile;
 use hoyan::rt::fault::{self, FaultKind, FaultPlan};
@@ -108,29 +109,138 @@ fn quarantine_is_thread_count_invariant() {
 #[test]
 fn fail_fast_surfaces_the_lowest_failing_index() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    // Two planted failures: whichever worker trips first, the surfaced
+    // error must belong to family 0 — at any thread count, under either
+    // schedule (deps batches do not run in index order).
+    fault::install(FaultPlan::new().at("verify.family", &[0, 1], FaultKind::Error));
+    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
+        let opts = SweepOptions {
+            fail_fast: true,
+            schedule,
+            ..SweepOptions::default()
+        };
+        for threads in [1usize, 2, 8] {
+            let err = verifier()
+                .verify_all_routes_opts(K, threads, &opts)
+                .unwrap_err();
+            match err {
+                SimError::Injected { site, index } => {
+                    assert_eq!(
+                        (site, index),
+                        ("verify.family", 0),
+                        "{schedule:?} threads={threads}"
+                    );
+                }
+                other => panic!("expected the injected error, got {other}"),
+            }
+        }
+    }
+    // A single late failure aborts too (today's pre-quarantine behavior).
     let opts = SweepOptions {
         fail_fast: true,
         ..SweepOptions::default()
     };
-    // Two planted failures: whichever worker trips first, the surfaced
-    // error must belong to family 0 — at any thread count.
-    fault::install(FaultPlan::new().at("verify.family", &[0, 1], FaultKind::Error));
-    for threads in [1usize, 8] {
-        let err = verifier()
-            .verify_all_routes_opts(K, threads, &opts)
-            .unwrap_err();
-        match err {
-            SimError::Injected { site, index } => {
-                assert_eq!((site, index), ("verify.family", 0), "threads={threads}");
-            }
-            other => panic!("expected the injected error, got {other}"),
-        }
-    }
-    // A single late failure aborts too (today's pre-quarantine behavior).
     fault::install(FaultPlan::new().at("verify.family", &[2], FaultKind::Error));
     let err = verifier().verify_all_routes_opts(K, 2, &opts).unwrap_err();
     assert!(matches!(err, SimError::Injected { index: 2, .. }), "{err}");
     fault::clear();
+}
+
+/// `tiny` with each PE's leaves in /22 blocks: every PE's unpinned blocks
+/// are twins, so they form one behaviour class simulated once.
+fn class_verifier() -> Verifier {
+    let wan = WanSpec {
+        block_prefixes: 4,
+        prefixes_per_pe: 12,
+        ..WanSpec::tiny(9)
+    }
+    .build();
+    Verifier::new(wan.configs, VsbProfile::ground_truth, Some(3)).unwrap()
+}
+
+/// Indices of the first PE's second and third /22 blocks: a representative
+/// and a member of one class.
+fn class_pair(v: &Verifier) -> (usize, usize) {
+    let index = |root: &str| {
+        v.families()
+            .iter()
+            .position(|f| f[0].to_string() == root)
+            .unwrap()
+    };
+    (index("10.0.4.0/22"), index("10.0.8.0/22"))
+}
+
+#[test]
+fn a_fault_on_a_class_member_quarantines_only_that_member() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    fault::clear();
+    let (rep, member) = class_pair(&class_verifier());
+    assert!(rep < member);
+    let clean = class_verifier().verify_all_routes(K, 2).unwrap().reports;
+
+    fault::install(FaultPlan::new().at("verify.family", &[member as u64], FaultKind::Error));
+    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
+        for threads in [1usize, 2, 8] {
+            let v = class_verifier();
+            let opts = SweepOptions {
+                schedule,
+                ..SweepOptions::default()
+            };
+            let swept = v.verify_all_routes_opts(K, threads, &opts).unwrap();
+            let q: Vec<usize> = swept.quarantined.iter().map(|q| q.index).collect();
+            assert_eq!(q, vec![member], "{schedule:?} threads={threads}");
+            // Everyone else — the representative and the other members —
+            // reports exactly what the fault-free sweep did.
+            let lost = &v.families()[member];
+            let want: Vec<String> = clean
+                .iter()
+                .filter(|r| !lost.contains(&r.prefix))
+                .map(stable_view)
+                .collect();
+            let got: Vec<String> = swept.reports.iter().map(stable_view).collect();
+            assert_eq!(got, want, "{schedule:?} threads={threads}");
+
+            let fail_fast = SweepOptions {
+                fail_fast: true,
+                ..opts
+            };
+            let err = v
+                .verify_all_routes_opts(K, threads, &fail_fast)
+                .unwrap_err();
+            assert!(
+                matches!(err, SimError::Injected { index, .. } if index == member as u64),
+                "{schedule:?} threads={threads}: {err}"
+            );
+        }
+    }
+    fault::clear();
+}
+
+#[test]
+fn a_failed_representative_quarantines_its_whole_class() {
+    let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let v = class_verifier();
+    let (rep, member) = class_pair(&v);
+    fault::install(FaultPlan::new().at("verify.family", &[rep as u64], FaultKind::OverBudget));
+    let swept = v.verify_all_routes(K, 2).unwrap();
+    fault::clear();
+    let outcome = |i: usize| {
+        swept
+            .quarantined
+            .iter()
+            .find(|q| q.index == i)
+            .unwrap_or_else(|| panic!("family {i} not quarantined"))
+    };
+    assert!(matches!(
+        outcome(rep).outcome,
+        FamilyOutcome::OverBudget { .. }
+    ));
+    assert_eq!(outcome(member).outcome, outcome(rep).outcome, "same error");
+    assert!(
+        outcome(rep).cost.ops > 0,
+        "the representative carries the bill"
+    );
+    assert_eq!(outcome(member).cost, Default::default());
 }
 
 #[test]

@@ -323,3 +323,111 @@ shared.workspace = true
     assert!(find("local").has_path);
     assert!(find("shared").is_workspace_ref);
 }
+
+/// The functions under `crates/device/src` and in `propagate.rs` that read
+/// a prefix-dependent config input, as `(file, fn)` pairs.
+fn prefix_input_readers(root: &Path) -> std::collections::BTreeSet<(String, String)> {
+    const READS: [&str; 6] = [
+        ".prefix_lists",
+        "MatchClause::Prefix",
+        ".networks",
+        ".aggregates",
+        ".static_routes",
+        ".is_default(",
+    ];
+    let mut files: Vec<PathBuf> = std::fs::read_dir(root.join("crates/device/src"))
+        .expect("crates/device/src exists")
+        .map(|e| e.expect("readable dir entry").path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("rs"))
+        .collect();
+    files.push(root.join("crates/core/src/propagate.rs"));
+    let mut readers = std::collections::BTreeSet::new();
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let file = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        readers.extend(
+            fn_readers(&text, &READS)
+                .into_iter()
+                .map(|f| (file.to_string(), f)),
+        );
+    }
+    readers
+}
+
+/// Names of the functions in `text` (above its `#[cfg(test)]` tail) whose
+/// bodies contain one of `needles` outside a comment. A line belongs to the
+/// last `fn` declared above it.
+fn fn_readers(text: &str, needles: &[&str]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    let mut current: Option<String> = None;
+    for raw in text.lines() {
+        if raw.contains("#[cfg(test)]") {
+            break;
+        }
+        let line = raw.split("//").next().unwrap_or("");
+        if let Some(at) = line.find("fn ") {
+            if at == 0 || line[..at].ends_with(' ') {
+                let name: String = line[at + 3..]
+                    .chars()
+                    .take_while(|c| c.is_alphanumeric() || *c == '_')
+                    .collect();
+                if !name.is_empty() {
+                    current = Some(name);
+                }
+            }
+        }
+        if let Some(f) = &current {
+            if needles.iter().any(|n| line.contains(n)) && !out.contains(f) {
+                out.push(f.clone());
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn prefix_dependent_inputs_are_covered_by_the_class_key() {
+    // The sweep simulates one family per behaviour class and renames the
+    // result to its twins (crates/core/src/classes.rs). That is sound only
+    // while the class key covers every prefix-dependent input the
+    // simulation reads. These are its readers today; each one's input is
+    // in the key.
+    const ALLOWED: [(&str, &str); 6] = [
+        ("policy.rs", "clause_matches"),
+        ("model.rs", "redistribution_admits"),
+        ("propagate.rs", "mark_dirty"),
+        ("propagate.rs", "seed"),
+        ("propagate.rs", "refresh_aggregates_for"),
+        ("propagate.rs", "suppression_cond"),
+    ];
+    let allowed: std::collections::BTreeSet<(String, String)> = ALLOWED
+        .iter()
+        .map(|(f, n)| (f.to_string(), n.to_string()))
+        .collect();
+    let found = prefix_input_readers(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let new: Vec<_> = found.difference(&allowed).collect();
+    assert!(
+        new.is_empty(),
+        "new readers of a prefix-dependent input: {new:?}. Extend the behaviour-class \
+         key in crates/core/src/classes.rs to cover the input they read, then add \
+         them here"
+    );
+    let gone: Vec<_> = allowed.difference(&found).collect();
+    assert!(
+        gone.is_empty(),
+        "allowlisted readers no longer read a prefix-dependent input: {gone:?}; \
+         drop them here (and the input from the class key if nothing reads it)"
+    );
+}
+
+#[test]
+fn fn_reader_scan_attributes_lines_to_their_function() {
+    let src = "pub fn a() {\n    x.networks.len(); // .aggregates\n}\nfn b(y: u8) {\n    // y.networks\n}\npub(crate) fn c() -> bool {\n    p.is_default()\n}\n#[cfg(test)]\nfn d() { z.networks }\n";
+    assert_eq!(
+        fn_readers(src, &[".networks", ".aggregates", ".is_default("]),
+        vec!["a".to_string(), "c".to_string()]
+    );
+}

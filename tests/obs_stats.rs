@@ -94,7 +94,7 @@ fn counters_are_identical_across_runs_and_thread_counts() {
     // Schema v3: the version marker, the flight-recorder drop counter, the
     // shared-base attribution counter and the family_cost section are all
     // pinned into every export.
-    assert!(full.contains("\"schema\": 3,"), "{full}");
+    assert!(full.contains("\"schema\": 4,"), "{full}");
     assert!(full.contains("\"obs.events_dropped\""), "{full}");
     assert!(full.contains("\"verify.shared_base_ops\""), "{full}");
     assert!(full.contains("\"family_cost\""), "{full}");
@@ -301,8 +301,8 @@ fn propagate_phase_tallies_appear_only_under_timing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every key `register_default_metrics` pre-registers (schema v3).
-const DEFAULT_COUNTERS: [&str; 46] = [
+/// Every key `register_default_metrics` pre-registers (schema v4).
+const DEFAULT_COUNTERS: [&str; 47] = [
     "bdd.gc_runs",
     "bdd.ite_cache_hits",
     "bdd.ite_cache_misses",
@@ -341,6 +341,7 @@ const DEFAULT_COUNTERS: [&str; 46] = [
     "tuner.checks",
     "tuner.localization_candidates",
     "tuner.mismatches",
+    "verify.classes",
     "verify.equiv_families_skipped",
     "verify.families",
     "verify.families_over_budget",
@@ -362,8 +363,9 @@ const DEFAULT_GAUGES: [&str; 9] = [
     "verify.sweep_max_formula_len",
 ];
 
-/// Schema v3 removed four keys along with the code that set them; every
-/// other default key must still be exported by a plain sweep.
+/// Schema v3 removed four keys along with the code that set them, and
+/// schema v4 added `verify.classes`; every default key must be exported by
+/// a plain sweep.
 #[test]
 fn default_keys_are_pinned_and_removed_keys_are_gone() {
     let dir = std::env::temp_dir().join(format!("hoyan-obs-keys-{}", std::process::id()));
@@ -383,7 +385,7 @@ fn default_keys_are_pinned_and_removed_keys_are_gone() {
     assert!(out.status.success());
 
     let json = sweep_stats_json(&dir, "2", "keys");
-    assert!(json.contains("\"schema\": 3,"), "{json}");
+    assert!(json.contains("\"schema\": 4,"), "{json}");
     for key in DEFAULT_COUNTERS.iter().chain(&DEFAULT_GAUGES) {
         assert!(
             json.contains(&format!("\"{key}\": ")),

@@ -121,6 +121,53 @@ fn flight_recorder_is_balanced_and_thread_invariant() {
 }
 
 #[test]
+fn class_members_are_attributed_at_zero_cost_to_their_representative() {
+    let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    // Block-aggregated leaves: each PE's unpinned /22 blocks are twins, so
+    // one simulation answers for several families.
+    let wan = WanSpec {
+        block_prefixes: 4,
+        prefixes_per_pe: 12,
+        ..forty_two_router_spec()
+    }
+    .build();
+    let verifier =
+        hoyan::core::Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3))
+            .expect("verifier builds");
+    hoyan::obs::set_enabled(true);
+    hoyan::obs::reset();
+    hoyan::obs::set_events_enabled(true);
+    let report = verifier.verify_all_routes(1, 2).expect("sweep");
+    assert!(report.quarantined.is_empty());
+
+    let counters = hoyan::obs::counter_values();
+    let costs = hoyan::obs::unit_costs();
+    let families = counters["verify.families"];
+    let classes = counters["verify.classes"];
+    assert_eq!(costs.len() as u64, families, "one cost per family");
+    assert!(
+        classes < families,
+        "{classes} classes for {families} families"
+    );
+    // Only representatives burn ops, and the books still balance.
+    let attributed: u64 = costs.iter().map(|c| c.ops).sum();
+    assert_eq!(
+        attributed + counters["verify.shared_base_ops"],
+        counters["bdd.ops"]
+    );
+    let members: Vec<_> = costs
+        .iter()
+        .filter(|c| c.label.contains(" class of "))
+        .collect();
+    assert_eq!(members.len() as u64, families - classes);
+    assert!(members.iter().all(|c| c.ops == 0 && c.peak_nodes == 0));
+    assert!(hoyan::obs::render_attribution(usize::MAX)
+        .contains("10.0.8.0/22 (+4) class of 10.0.4.0/22 (+4)"));
+    hoyan::obs::set_events_enabled(false);
+    hoyan::obs::reset();
+}
+
+#[test]
 fn reverify_attributes_reused_families_at_zero_marginal_cost() {
     let _guard = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let wan = forty_two_router_spec().build();
