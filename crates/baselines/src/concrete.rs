@@ -100,188 +100,236 @@ pub fn igp_distances_with_failures(
 /// last received and re-announces; a fixpoint is reached when a full round
 /// changes nothing. Per-(sender, receiver) slots give BGP's implicit-
 /// withdraw semantics.
+///
+/// A round skips a node none of whose incoming slots changed since it was
+/// last evaluated. Its announcements are a function of those slots alone
+/// (plus fixed seeds and distances), and the slots it writes are written by
+/// no other node, so it would write back exactly what they already hold:
+/// the skip leaves every round, and the fixpoint, as they were.
 pub fn converge(
     net: &NetworkModel,
     prefixes: &[Ipv4Prefix],
     dead: &HashSet<LinkId>,
 ) -> ConcreteState {
-    let n = net.topology.node_count();
-    // IGP distances per node (for session liveness + metric tie-break).
-    let dist: Vec<Vec<Option<u64>>> = (0..n)
-        .map(|i| igp_distances_with_failures(net, NodeId(i as u32), dead))
-        .collect();
+    let mut rounds = Rounds::new(net, prefixes, dead);
+    rounds.run();
+    rounds.state()
+}
 
-    // received[(receiver, sender, prefix)] = route as accepted by ingress.
-    let mut received: HashMap<(NodeId, NodeId, Ipv4Prefix), ConcreteRoute> = HashMap::new();
+/// What [`converge`] iterates: the fixed inputs of one scenario plus every
+/// announcement slot.
+struct Rounds<'a> {
+    net: &'a NetworkModel,
+    prefixes: &'a [Ipv4Prefix],
+    dead: &'a HashSet<LinkId>,
+    /// IGP distances per node (for session liveness + metric tie-break).
+    dist: Vec<Vec<Option<u64>>>,
+    /// Local seeds.
+    locals: HashMap<(NodeId, Ipv4Prefix), Vec<ConcreteRoute>>,
+    /// received[(receiver, sender, prefix)] = route as accepted by ingress.
+    /// Only `sender` ever writes the slot.
+    received: HashMap<(NodeId, NodeId, Ipv4Prefix), ConcreteRoute>,
+}
 
-    // Local seeds.
-    let mut locals: HashMap<(NodeId, Ipv4Prefix), Vec<ConcreteRoute>> = HashMap::new();
-    for i in 0..n {
-        let node = NodeId(i as u32);
-        let dev = net.device(node);
-        let Some(bgp) = dev.config.bgp.as_ref() else {
-            continue;
-        };
-        for p in prefixes {
-            let mut seeds = Vec::new();
-            if bgp.networks.contains(p) {
-                let mut attrs = RouteAttrs::originated();
-                attrs.weight = hoyan_core::LOCAL_WEIGHT;
-                seeds.push(attrs);
+impl<'a> Rounds<'a> {
+    fn new(net: &'a NetworkModel, prefixes: &'a [Ipv4Prefix], dead: &'a HashSet<LinkId>) -> Self {
+        let n = net.topology.node_count();
+        let dist = (0..n)
+            .map(|i| igp_distances_with_failures(net, NodeId(i as u32), dead))
+            .collect();
+        let mut locals: HashMap<(NodeId, Ipv4Prefix), Vec<ConcreteRoute>> = HashMap::new();
+        for i in 0..n {
+            let node = NodeId(i as u32);
+            let dev = net.device(node);
+            let Some(bgp) = dev.config.bgp.as_ref() else {
+                continue;
+            };
+            for p in prefixes {
+                let mut seeds = Vec::new();
+                if bgp.networks.contains(p) {
+                    let mut attrs = RouteAttrs::originated();
+                    attrs.weight = hoyan_core::LOCAL_WEIGHT;
+                    seeds.push(attrs);
+                }
+                if bgp.redistribute.contains(&RedistSource::Static)
+                    && dev.config.static_routes.iter().any(|s| s.prefix == *p)
+                    && dev.redistribution_admits(*p)
+                {
+                    let mut attrs = RouteAttrs::originated();
+                    attrs.weight = hoyan_core::LOCAL_WEIGHT;
+                    attrs.origin = Origin::Incomplete;
+                    seeds.push(attrs);
+                }
+                for attrs in seeds {
+                    locals.entry((node, *p)).or_default().push(ConcreteRoute {
+                        attrs,
+                        from: None,
+                        learned: LearnedFrom::Local,
+                        next_hop: None,
+                        igp_metric: 0,
+                        peer_router_id: dev.config.router_id,
+                        ibgp_hops: 0,
+                    });
+                }
             }
-            if bgp.redistribute.contains(&RedistSource::Static)
-                && dev.config.static_routes.iter().any(|s| s.prefix == *p)
-                && dev.redistribution_admits(*p)
-            {
-                let mut attrs = RouteAttrs::originated();
-                attrs.weight = hoyan_core::LOCAL_WEIGHT;
-                attrs.origin = Origin::Incomplete;
-                seeds.push(attrs);
-            }
-            for attrs in seeds {
-                locals.entry((node, *p)).or_default().push(ConcreteRoute {
-                    attrs,
-                    from: None,
-                    learned: LearnedFrom::Local,
-                    next_hop: None,
-                    igp_metric: 0,
-                    peer_router_id: dev.config.router_id,
-                    ibgp_hops: 0,
-                });
-            }
+        }
+        Rounds {
+            net,
+            prefixes,
+            dead,
+            dist,
+            locals,
+            received: HashMap::new(),
         }
     }
 
-    let ranked_rib = |received: &HashMap<(NodeId, NodeId, Ipv4Prefix), ConcreteRoute>,
-                      node: NodeId,
-                      p: Ipv4Prefix|
-     -> Vec<ConcreteRoute> {
-        let mut rib: Vec<ConcreteRoute> = locals.get(&(node, p)).cloned().unwrap_or_default();
-        for s in net.sessions_of(node) {
-            if let Some(r) = received.get(&(node, s.peer, p)) {
+    fn ranked_rib(&self, node: NodeId, p: Ipv4Prefix) -> Vec<ConcreteRoute> {
+        let mut rib: Vec<ConcreteRoute> = self.locals.get(&(node, p)).cloned().unwrap_or_default();
+        for s in self.net.sessions_of(node) {
+            if let Some(r) = self.received.get(&(node, s.peer, p)) {
                 rib.push(r.clone());
             }
         }
         rib.sort_by(|a, b| cmp_candidates(&a.candidate(), &b.candidate()));
         rib
-    };
+    }
 
-    let max_rounds = 4 * n + 16;
-    for _round in 0..max_rounds {
+    /// Rounds until one changes nothing, skipping nodes with no changed
+    /// input since their last evaluation.
+    fn run(&mut self) {
+        let n = self.net.topology.node_count();
+        let max_rounds = 4 * n + 16;
+        // `stale[u]`: a slot addressed to `u` changed since `u` last ran.
+        let mut stale = vec![true; n];
+        for _round in 0..max_rounds {
+            let mut changed = false;
+            for i in 0..n {
+                if std::mem::replace(&mut stale[i], false) {
+                    changed |= self.evaluate(NodeId(i as u32), &mut stale);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// Recomputes `u`'s best routes from what it holds and rewrites every
+    /// slot it announces into. Marks each receiver whose slot changed in
+    /// `stale`; returns whether any did.
+    fn evaluate(&mut self, u: NodeId, stale: &mut [bool]) -> bool {
+        let net = self.net;
+        let dev = net.device(u);
         let mut changed = false;
-        for i in 0..n {
-            let u = NodeId(i as u32);
-            let dev = net.device(u);
-            for p in prefixes {
-                let rib = ranked_rib(&received, u, *p);
-                let best = rib.first();
-                for s in net.sessions_of(u) {
-                    // Session liveness on the surviving topology.
-                    let alive = match s.kind {
-                        SessionKind::Ebgp => s.link.map(|l| !dead.contains(&l)).unwrap_or(false),
-                        SessionKind::Ibgp => {
-                            dist[u.0 as usize][s.peer.0 as usize].is_some()
-                                && dist[s.peer.0 as usize][u.0 as usize].is_some()
-                        }
-                    };
-                    let key = (s.peer, u, *p);
-                    let mut new_val: Option<ConcreteRoute> = None;
-                    if alive {
-                        if let Some(best) = best {
-                            let neighbor =
-                                &dev.config.bgp.as_ref().expect("session").neighbors
-                                    [s.neighbor_idx];
-                            let eligible = best.from != Some(s.peer)
-                                && dev.may_advertise(best.learned, s.kind, neighbor);
-                            if eligible {
-                                if let Some(egress) =
-                                    dev.control_egress(neighbor, s.kind, *p, &best.attrs)
+        for p in self.prefixes {
+            let rib = self.ranked_rib(u, *p);
+            let best = rib.first();
+            for s in net.sessions_of(u) {
+                // Session liveness on the surviving topology.
+                let alive = match s.kind {
+                    SessionKind::Ebgp => s.link.map(|l| !self.dead.contains(&l)).unwrap_or(false),
+                    SessionKind::Ibgp => {
+                        self.dist[u.0 as usize][s.peer.0 as usize].is_some()
+                            && self.dist[s.peer.0 as usize][u.0 as usize].is_some()
+                    }
+                };
+                let key = (s.peer, u, *p);
+                let mut new_val: Option<ConcreteRoute> = None;
+                if alive {
+                    if let Some(best) = best {
+                        let neighbor =
+                            &dev.config.bgp.as_ref().expect("session").neighbors[s.neighbor_idx];
+                        let eligible = best.from != Some(s.peer)
+                            && dev.may_advertise(best.learned, s.kind, neighbor);
+                        if eligible {
+                            if let Some(egress) =
+                                dev.control_egress(neighbor, s.kind, *p, &best.attrs)
+                            {
+                                // Receiver-side ingress.
+                                let peer_dev = net.device(s.peer);
+                                let from_name = net.topology.name(u);
+                                if let Some(peer_neighbor) = peer_dev
+                                    .config
+                                    .bgp
+                                    .as_ref()
+                                    .and_then(|b| b.neighbor(from_name))
                                 {
-                                    // Receiver-side ingress.
-                                    let peer_dev = net.device(s.peer);
-                                    let from_name = net.topology.name(u);
-                                    if let Some(peer_neighbor) = peer_dev
-                                        .config
-                                        .bgp
-                                        .as_ref()
-                                        .and_then(|b| b.neighbor(from_name))
-                                    {
-                                        if let Some(attrs_in) = peer_dev.control_ingress(
-                                            peer_neighbor,
-                                            s.kind,
-                                            *p,
-                                            &egress.attrs,
-                                        ) {
-                                            let next_hop = if egress.next_hop_self {
-                                                Some(u)
-                                            } else {
-                                                best.next_hop.or(Some(u))
-                                            };
-                                            let igp_metric = next_hop
-                                                .and_then(|nh| {
-                                                    dist[s.peer.0 as usize][nh.0 as usize]
-                                                })
-                                                .unwrap_or(0);
-                                            let learned = match s.kind {
-                                                SessionKind::Ebgp => LearnedFrom::Ebgp,
-                                                SessionKind::Ibgp => {
-                                                    if peer_neighbor.rr_client {
-                                                        LearnedFrom::IbgpClient
-                                                    } else {
-                                                        LearnedFrom::IbgpNonClient
-                                                    }
+                                    if let Some(attrs_in) = peer_dev.control_ingress(
+                                        peer_neighbor,
+                                        s.kind,
+                                        *p,
+                                        &egress.attrs,
+                                    ) {
+                                        let next_hop = if egress.next_hop_self {
+                                            Some(u)
+                                        } else {
+                                            best.next_hop.or(Some(u))
+                                        };
+                                        let igp_metric = next_hop
+                                            .and_then(|nh| {
+                                                self.dist[s.peer.0 as usize][nh.0 as usize]
+                                            })
+                                            .unwrap_or(0);
+                                        let learned = match s.kind {
+                                            SessionKind::Ebgp => LearnedFrom::Ebgp,
+                                            SessionKind::Ibgp => {
+                                                if peer_neighbor.rr_client {
+                                                    LearnedFrom::IbgpClient
+                                                } else {
+                                                    LearnedFrom::IbgpNonClient
                                                 }
-                                            };
-                                            let ibgp_hops = match s.kind {
-                                                SessionKind::Ibgp => best.ibgp_hops + 1,
-                                                SessionKind::Ebgp => 0,
-                                            };
-                                            new_val = Some(ConcreteRoute {
-                                                attrs: attrs_in,
-                                                from: Some(u),
-                                                learned,
-                                                next_hop,
-                                                igp_metric,
-                                                peer_router_id: dev.config.router_id,
-                                                ibgp_hops,
-                                            });
-                                        }
+                                            }
+                                        };
+                                        let ibgp_hops = match s.kind {
+                                            SessionKind::Ibgp => best.ibgp_hops + 1,
+                                            SessionKind::Ebgp => 0,
+                                        };
+                                        new_val = Some(ConcreteRoute {
+                                            attrs: attrs_in,
+                                            from: Some(u),
+                                            learned,
+                                            next_hop,
+                                            igp_metric,
+                                            peer_router_id: dev.config.router_id,
+                                            ibgp_hops,
+                                        });
                                     }
                                 }
                             }
                         }
                     }
-                    let old = received.get(&key);
-                    if old != new_val.as_ref() {
-                        changed = true;
-                        match new_val {
-                            Some(v) => {
-                                received.insert(key, v);
-                            }
-                            None => {
-                                received.remove(&key);
-                            }
+                }
+                let old = self.received.get(&key);
+                if old != new_val.as_ref() {
+                    changed = true;
+                    stale[s.peer.0 as usize] = true;
+                    match new_val {
+                        Some(v) => {
+                            self.received.insert(key, v);
+                        }
+                        None => {
+                            self.received.remove(&key);
                         }
                     }
                 }
             }
         }
-        if !changed {
-            break;
-        }
+        changed
     }
 
-    let mut state = ConcreteState::default();
-    for i in 0..n {
-        let node = NodeId(i as u32);
-        for p in prefixes {
-            let rib = ranked_rib(&received, node, *p);
-            if !rib.is_empty() {
-                state.ribs.insert((node, *p), rib);
+    fn state(&self) -> ConcreteState {
+        let mut state = ConcreteState::default();
+        for i in 0..self.net.topology.node_count() {
+            let node = NodeId(i as u32);
+            for p in self.prefixes {
+                let rib = self.ranked_rib(node, *p);
+                if !rib.is_empty() {
+                    state.ribs.insert((node, *p), rib);
+                }
             }
         }
+        state
     }
-    state
 }
 
 #[cfg(test)]
@@ -359,5 +407,51 @@ mod tests {
         let s = net.topology.node("S").unwrap();
         assert!(!state.has_route(s, pfx("10.0.1.0/24")));
         assert!(state.has_route(gw, pfx("10.0.1.0/24"))); // local seed
+    }
+
+    /// The worklist skips only nodes that would change nothing: after
+    /// `converge`, one more full round over every node — no skipping —
+    /// must leave every slot as it is.
+    #[test]
+    fn an_extra_full_round_after_converge_changes_nothing() {
+        for spec in [
+            hoyan_topogen::WanSpec::tiny(7),
+            hoyan_topogen::WanSpec::small(7),
+            hoyan_topogen::WanSpec::medium(42),
+        ] {
+            let net = NetworkModel::from_configs(spec.build().configs, VsbProfile::ground_truth)
+                .unwrap();
+            let mut prefixes: Vec<Ipv4Prefix> = net
+                .devices
+                .iter()
+                .filter_map(|d| d.config.bgp.as_ref())
+                .flat_map(|b| b.networks.iter().copied())
+                .collect();
+            prefixes.sort();
+            prefixes.dedup();
+            let links = net.topology.link_count() as u32;
+            // Healthy, then a few single and double failures spread over
+            // the link ids.
+            let dead_sets: Vec<HashSet<LinkId>> = std::iter::once(HashSet::new())
+                .chain((0..4).map(|i| [LinkId(i * 7 % links)].into()))
+                .chain((0..2).map(|i| [LinkId(i * 11 % links), LinkId((i * 11 + 5) % links)].into()))
+                .collect();
+            for dead in &dead_sets {
+                for p in prefixes.iter().take(12) {
+                    let family = [*p];
+                    let mut rounds = Rounds::new(&net, &family, dead);
+                    rounds.run();
+                    let before = rounds.received.clone();
+                    let mut stale = vec![false; net.topology.node_count()];
+                    for u in net.topology.nodes() {
+                        assert!(
+                            !rounds.evaluate(u, &mut stale),
+                            "{p} with {dead:?} dead: {u:?} still changes a slot"
+                        );
+                    }
+                    assert_eq!(rounds.received, before);
+                }
+            }
+        }
     }
 }

@@ -1070,8 +1070,12 @@ fn wan_sweep(quick: bool) {
                 for r in reports {
                     streamed.push((r.prefix, r.scope, r.fragile));
                 }
+                std::ops::ControlFlow::Continue(())
             }
-            StreamedFamily::Quarantined(_) => streamed_quarantined += 1,
+            StreamedFamily::Quarantined(_) => {
+                streamed_quarantined += 1;
+                std::ops::ControlFlow::Continue(())
+            }
         })
         .expect("deps sweep");
     let deps_wall = t0.elapsed();

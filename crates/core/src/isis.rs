@@ -44,8 +44,23 @@ impl IsisDb {
     /// the paper's per-prefix parallelism) and merges the conditioned
     /// results into one database. `k = None` disables more-than-k pruning.
     pub fn build(net: &NetworkModel, k: Option<u32>) -> Result<IsisDb, SimError> {
+        IsisDb::build_within(net, k, hoyan_logic::BddBudget::default(), None)
+    }
+
+    /// [`IsisDb::build`] under a resource budget, for builds a client
+    /// request triggers: `budget` caps each destination's simulation as a
+    /// family's budget caps its one, and `deadline_ms` bounds the whole
+    /// build. A breach returns [`SimError::OverBudget`] or
+    /// [`SimError::DeadlineExceeded`] and no database.
+    pub fn build_within(
+        net: &NetworkModel,
+        k: Option<u32>,
+        budget: hoyan_logic::BddBudget,
+        deadline_ms: Option<u64>,
+    ) -> Result<IsisDb, SimError> {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let _span = hoyan_obs::span("isis.build");
+        let started = std::time::Instant::now();
         let dests: Vec<NodeId> = net.topology.nodes().filter(|n| net.runs_isis(*n)).collect();
         /// A destination's rows — per source router the saturated
         /// disjunction and `(condition, next hop, metric)` per RIB entry —
@@ -74,7 +89,17 @@ impl IsisDb {
                         let dest = dests[i];
                         let _spf = hoyan_obs::span("isis.spf");
                         let mut sim = Simulation::new_igp_for(net, k, &[dest]);
-                        if let Err(e) = sim.run() {
+                        // What is left of the build's deadline; an elapsed
+                        // one trips at the simulation's first step.
+                        let left = deadline_ms
+                            .map(|ms| ms.saturating_sub(started.elapsed().as_millis() as u64));
+                        sim.set_budget(budget, left);
+                        if let Err(e) = sim.run().map_err(|e| match (e, deadline_ms) {
+                            (SimError::DeadlineExceeded { .. }, Some(limit_ms)) => {
+                                SimError::DeadlineExceeded { limit_ms }
+                            }
+                            (e, _) => e,
+                        }) {
                             error
                                 .lock()
                                 .unwrap_or_else(|p| p.into_inner())
@@ -325,7 +350,10 @@ mod tests {
     /// The database keeps each destination's conditions in a compacted
     /// copy and merges those; what it serves must still be what a direct
     /// per-destination simulation computes, under every failure set in the
-    /// budget.
+    /// budget. And a database built at a smaller budget `k' < k` must serve
+    /// what the budget-`k` one does on every `<= k'`-failure set: the same
+    /// reachability and the same best hop. That containment is what lets a
+    /// budget-`k'` query run on a database built at exactly `k'`.
     #[test]
     fn database_matches_direct_per_destination_simulations() {
         let k = 2;
@@ -333,14 +361,20 @@ mod tests {
             "hostname A\ninterface e0\n peer B\nrouter isis\n area 1\n",
             "hostname B\ninterface e0\n peer A\n",
         ]);
-        let tiny = NetworkModel::from_configs(
-            hoyan_topogen::WanSpec::tiny(7).build().configs,
-            VsbProfile::ground_truth,
-        )
-        .unwrap();
-        for n in [chain_with_backup(), pair, tiny] {
+        let generated = |spec: hoyan_topogen::WanSpec| {
+            NetworkModel::from_configs(spec.build().configs, VsbProfile::ground_truth).unwrap()
+        };
+        let fixtures = [
+            chain_with_backup(),
+            pair,
+            generated(hoyan_topogen::WanSpec::tiny(7)),
+            generated(hoyan_topogen::WanSpec::small(7)),
+        ];
+        for n in fixtures {
             let db = IsisDb::build(&n, Some(k)).unwrap();
+            let smaller: Vec<IsisDb> = (0..k).map(|b| IsisDb::build(&n, Some(b)).unwrap()).collect();
             let sets = failure_sets(n.topology.link_count(), k as usize);
+            let failures = |a: &[bool]| a.iter().filter(|alive| !**alive).count() as u32;
             for dest in n.topology.nodes().filter(|d| n.runs_isis(*d)) {
                 let mut sim = Simulation::new_igp_for(&n, Some(k), &[dest]);
                 sim.run().unwrap();
@@ -358,13 +392,32 @@ mod tests {
                         assert_eq!((h.next_hop, h.metric), (*next_hop, *metric));
                     }
                     for a in &sets {
+                        let reach = db.mgr.eval(db.reach_cond(u, dest), a);
                         assert_eq!(
-                            db.mgr.eval(db.reach_cond(u, dest), a),
+                            reach,
                             sim.mgr.eval(any, a),
                             "{u:?} -> {dest:?} reach under {a:?}"
                         );
                         for (h, (cond, _, _)) in hops.iter().zip(&direct) {
                             assert_eq!(db.mgr.eval(h.cond, a), sim.mgr.eval(*cond, a));
+                        }
+                        let best = |d: &IsisDb| {
+                            d.hops(u, dest)
+                                .iter()
+                                .find(|h| d.mgr.eval(h.cond, a))
+                                .map(|h| (h.next_hop, h.metric))
+                        };
+                        for (b, small) in smaller.iter().enumerate().skip(failures(a) as usize) {
+                            assert_eq!(
+                                small.mgr.eval(small.reach_cond(u, dest), a),
+                                reach,
+                                "{u:?} -> {dest:?}: db({b}) vs db({k}) reach under {a:?}"
+                            );
+                            assert_eq!(
+                                best(small),
+                                best(&db),
+                                "{u:?} -> {dest:?}: db({b}) vs db({k}) best hop under {a:?}"
+                            );
                         }
                     }
                 }

@@ -123,6 +123,21 @@ impl NetworkModel {
         self.order.var_of(link.0)
     }
 
+    /// Whether `other` feeds IS-IS exactly what `self` does: the same
+    /// graph under the same numbering ([`Topology::same_graph`]), the same
+    /// link → variable order, and per node the same IGP block and router
+    /// id (the last tie-break of equal-metric IGP routes). An
+    /// [`crate::IsisDb`] reads nothing else of the model, so one built over
+    /// `self` serves `other` unchanged — the daemon's carry-forward rule.
+    /// `tests/hermetic.rs` fails when a new reader of these inputs appears.
+    pub fn same_igp_inputs(&self, other: &NetworkModel) -> bool {
+        self.topology.same_graph(&other.topology)
+            && self.order == other.order
+            && self.devices.iter().zip(&other.devices).all(|(a, b)| {
+                a.config.isis == b.config.isis && a.config.router_id == b.config.router_id
+            })
+    }
+
     /// The link whose aliveness BDD variable `var` tests — the inverse of
     /// [`NetworkModel::link_var`], used when rendering witnesses.
     #[inline]

@@ -35,23 +35,39 @@
 //!   answers `{"ok":false,"error":"overloaded","retry_after_ms":N}` and
 //!   closes — a rejected client never ties up a worker.
 //! * **Requests**: work triggered by a request (a cache-miss `reach`
-//!   simulation, a `whatif` reverify) runs under the PR-5
-//!   [`FamilyBudget`]: the server-wide caps tightened by any
-//!   `budget_nodes` / `budget_ops` / `deadline_ms` fields on the request
-//!   itself. A breach is billed to the flight recorder and answered with
-//!   a structured `over_budget` error; the worker, the connection and
-//!   every other in-flight request keep running. Cache hits are served
+//!   simulation and the IS-IS database it may build, a `whatif` reverify)
+//!   runs under the per-family [`FamilyBudget`]: the server-wide caps
+//!   tightened by any `budget_nodes` / `budget_ops` / `deadline_ms` fields
+//!   on the request itself. A breach is answered with a structured
+//!   `over_budget` error (and a family simulation's is billed to the
+//!   flight recorder); the worker, the connection and every other
+//!   in-flight request keep running. Cache hits are served
 //!   from the resident reports and never consult the budget.
 //!
 //! The resident baseline sweep (at bind time) runs *unbudgeted*: it is
 //! operator-initiated, and quarantining baseline families would turn
 //! every later hit into a budgeted miss.
+//!
+//! # IS-IS budgets
+//!
+//! The resident state holds one conditioned IS-IS database per failure
+//! budget it has needed, all over one shared [`NetworkModel`]. The bind
+//! builds the one at `k` (the budget the cache is swept at); an off-cache
+//! `reach` at `k'` uses the smallest resident budget `>= k'` and builds one
+//! at `k'` (capped at the link count) only when none is resident, under the
+//! request's budget — a breach is an `over_budget` reply and leaves nothing
+//! resident; `equiv` uses budget 3, as the CLI does. A database at
+//! `k'' >= k'` is exact on every `<= k'`-failure scenario, so every answer
+//! is the one a database at `k'` gives. A `whatif` push that leaves every
+//! IS-IS input unchanged ([`NetworkModel::same_igp_inputs`]) carries every
+//! database forward; any other push rebuilds the one at `k` and drops the
+//! rest.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use hoyan_config::{parse_config, ConfigSnapshot, DeviceConfig};
@@ -59,9 +75,16 @@ use hoyan_device::VsbProfile;
 use hoyan_nettypes::Ipv4Prefix;
 use hoyan_rt::json::{self, Value};
 
-use crate::snapshot::FamilyCache;
-use crate::verify::{panic_message, FamilyBudget, FamilyCost, SweepOptions, Verifier};
+use crate::isis::IsisDb;
+use crate::network::NetworkModel;
 use crate::propagate::{SimError, Simulation};
+use crate::snapshot::{CompiledNetwork, FamilyCache};
+use crate::verify::{panic_message, FamilyBudget, FamilyCost, SweepOptions, Verifier};
+
+/// The IS-IS budget `equiv` runs at: role equivalence runs unbounded
+/// simulations, whose answers can depend on conditions outside any
+/// `k`-failure ball, so it keeps the budget `hoyan equiv` uses.
+const EQUIV_ISIS_K: u32 = 3;
 
 /// Daemon configuration.
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +96,8 @@ pub struct ServeOptions {
     /// loop starts rejecting with `overloaded`.
     pub queue_cap: usize,
     /// Failure budget the resident cache is built at; cached `reach`
-    /// answers are at this `k`.
+    /// answers are at this `k`. The bind builds the IS-IS database at this
+    /// budget too.
     pub k: u32,
     /// Threads for the warm-up sweep and for `whatif` reverifies.
     pub sweep_threads: usize,
@@ -131,15 +155,126 @@ pub struct ServeSummary {
     pub rejected: u64,
 }
 
+/// One IS-IS budget's verifier, built once by whichever request needs it
+/// first; requests that race for the same budget wait for that one build.
+/// A build that fails (over its request's budget) leaves the slot empty,
+/// for a later request to try under its own budget.
+#[derive(Default)]
+struct Slot {
+    built: OnceLock<Arc<Verifier>>,
+    building: Mutex<()>,
+}
+
+fn built_slot(v: Arc<Verifier>) -> Arc<Slot> {
+    Arc::new(Slot {
+        built: OnceLock::from(v),
+        building: Mutex::new(()),
+    })
+}
+
 /// The resident compiled state. Swapped atomically (behind an
 /// `RwLock<Arc<..>>`) on a successful `whatif` push; readers clone the
 /// `Arc` and answer from a consistent snapshot even while a push is
 /// rebuilding.
 struct Resident {
     snapshot: ConfigSnapshot,
-    verifier: Verifier,
+    /// The verifier at `cache.k`, the budget the cache was swept at.
+    verifier: Arc<Verifier>,
     cache: FamilyCache,
-    isis_k: Option<u32>,
+    /// IS-IS budget → verifier, each over `verifier.net`. The `cache.k`
+    /// entry is `verifier`; the others are built on demand.
+    databases: Mutex<BTreeMap<u32, Arc<Slot>>>,
+}
+
+impl Resident {
+    /// `verifier` was built at `cache.k`; `others` are further databases
+    /// over the same model, by budget.
+    fn new(
+        snapshot: ConfigSnapshot,
+        verifier: Arc<Verifier>,
+        cache: FamilyCache,
+        others: impl IntoIterator<Item = (u32, Arc<Verifier>)>,
+    ) -> Resident {
+        let mut databases: BTreeMap<u32, Arc<Slot>> = others
+            .into_iter()
+            .map(|(k, v)| (k, built_slot(v)))
+            .collect();
+        databases.insert(cache.k, built_slot(Arc::clone(&verifier)));
+        Resident {
+            snapshot,
+            verifier,
+            cache,
+            databases: Mutex::new(databases),
+        }
+    }
+
+    /// The verifier whose IS-IS database was built at exactly `isis_k`,
+    /// building it unbudgeted if it is not resident.
+    fn at(&self, isis_k: u32) -> Result<Arc<Verifier>, SimError> {
+        let slot = Arc::clone(self.lock_databases().entry(isis_k).or_default());
+        self.fill(&slot, isis_k, FamilyBudget::default())
+    }
+
+    /// The verifier for a query at failure budget `k`: the smallest built
+    /// IS-IS budget `>= k`, or a new database built under `budget`. The new
+    /// one's budget is `k`, capped at the link count: no failure set is
+    /// larger, so a database at that budget is exact for any bigger `k`
+    /// and there is at most one on-demand database per link.
+    fn covering(&self, k: u32, budget: FamilyBudget) -> Result<Arc<Verifier>, SimError> {
+        let links = u32::try_from(self.verifier.net.topology.link_count()).unwrap_or(u32::MAX);
+        let isis_k = k.min(links);
+        let slot = {
+            let mut databases = self.lock_databases();
+            let resident = databases
+                .range(isis_k..)
+                .find_map(|(_, slot)| slot.built.get().cloned());
+            if let Some(v) = resident {
+                return Ok(v);
+            }
+            Arc::clone(databases.entry(isis_k).or_default())
+        };
+        self.fill(&slot, isis_k, budget)
+    }
+
+    /// Builds `slot`'s database at `isis_k` under `budget` unless it is
+    /// built already; a request that finds a build in flight waits for it.
+    /// Runs outside the map's lock, so a long build blocks only the
+    /// requests that need this budget.
+    fn fill(
+        &self,
+        slot: &Slot,
+        isis_k: u32,
+        budget: FamilyBudget,
+    ) -> Result<Arc<Verifier>, SimError> {
+        let _building = slot.building.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(v) = slot.built.get() {
+            return Ok(Arc::clone(v));
+        }
+        let net = Arc::clone(&self.verifier.net);
+        let caps = hoyan_logic::BddBudget {
+            max_live_nodes: budget.max_live_nodes,
+            max_ops: budget.max_ite_ops,
+        };
+        let isis = IsisDb::build_within(&net, Some(isis_k), caps, budget.deadline_ms)?;
+        let v = Arc::new(Verifier::from_compiled(CompiledNetwork {
+            net,
+            isis: Arc::new(isis),
+            isis_k: Some(isis_k),
+        }));
+        Ok(Arc::clone(slot.built.get_or_init(|| v)))
+    }
+
+    /// Every database built so far, by budget.
+    fn built(&self) -> Vec<(u32, Arc<IsisDb>)> {
+        self.lock_databases()
+            .iter()
+            .filter_map(|(k, slot)| Some((*k, Arc::clone(&slot.built.get()?.isis))))
+            .collect()
+    }
+
+    fn lock_databases(&self) -> std::sync::MutexGuard<'_, BTreeMap<u32, Arc<Slot>>> {
+        self.databases.lock().unwrap_or_else(|p| p.into_inner())
+    }
 }
 
 #[derive(Default)]
@@ -202,11 +337,10 @@ impl Server {
             .local_addr()
             .map_err(|e| ServeError::Bind(e.to_string()))?;
         let snapshot = ConfigSnapshot::new(configs);
-        let isis_k = Some(opts.k.max(3));
         let verifier = Verifier::new(
             snapshot.devices().to_vec(),
             VsbProfile::ground_truth,
-            isis_k,
+            Some(opts.k),
         )
         .map_err(|e| ServeError::Build(e.to_string()))?;
         let (_, cache) = verifier
@@ -216,12 +350,12 @@ impl Server {
             listener,
             addr: local,
             opts,
-            state: RwLock::new(Arc::new(Resident {
+            state: RwLock::new(Arc::new(Resident::new(
                 snapshot,
-                verifier,
+                Arc::new(verifier),
                 cache,
-                isis_k,
-            })),
+                [],
+            ))),
             push_lock: Mutex::new(()),
             queue: Mutex::new(ConnQueue::default()),
             ready: Condvar::new(),
@@ -248,6 +382,16 @@ impl Server {
 
     fn resident(&self) -> Arc<Resident> {
         Arc::clone(&self.state.read().unwrap_or_else(|p| p.into_inner()))
+    }
+
+    /// The resident IS-IS database built at `isis_k`, if one is built.
+    /// Lets tests and monitoring see which budgets are held and whether a
+    /// push carried a database forward (`Arc::ptr_eq`) or rebuilt it.
+    pub fn isis_db(&self, isis_k: u32) -> Option<Arc<IsisDb>> {
+        self.resident()
+            .built()
+            .into_iter()
+            .find_map(|(k, db)| (k == isis_k).then_some(db))
     }
 
     /// Out-of-band equivalent of a `shutdown` request: `run` drains and
@@ -533,7 +677,7 @@ impl Server {
         };
         let state = self.resident();
         let k = match req_u64(req, "k") {
-            Some(k) => k as u32,
+            Some(k) => u32::try_from(k).unwrap_or(u32::MAX),
             None => state.cache.k,
         };
         let Some(node) = state.verifier.net.topology.node(device) else {
@@ -559,21 +703,40 @@ impl Server {
         }
 
         // Miss (different k, or a prefix outside the cached families):
-        // a fresh family simulation under the effective budget.
+        // a fresh family simulation under the effective budget, against an
+        // IS-IS database built at `k` or above. The first miss at a new
+        // budget pays that build once, under the same budget: the caps
+        // bound each of its simulations, and the deadline spans the build
+        // and the family simulation together.
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         hoyan_obs::metric!(counter "serve.cache_misses").inc();
         let budget = self.effective_budget(req);
+        let asked = std::time::Instant::now();
+        let v = match state.covering(k, budget) {
+            Ok(v) => v,
+            Err(e @ SimError::OverBudget(_)) | Err(e @ SimError::DeadlineExceeded { .. }) => {
+                self.counters.over_budget.fetch_add(1, Ordering::Relaxed);
+                return error_response(id, "over_budget", &e.to_string());
+            }
+            Err(e) => return error_response(id, "sim", &e.to_string()),
+        };
         let started = std::time::Instant::now();
-        let mut sim =
-            Simulation::new_bgp(&state.verifier.net, family, Some(k), Some(&state.verifier.isis));
+        let mut sim = Simulation::new_bgp(&v.net, family, Some(k), Some(&v.isis));
         sim.set_budget(
             hoyan_logic::BddBudget {
                 max_live_nodes: budget.max_live_nodes,
                 max_ops: budget.max_ite_ops,
             },
-            budget.deadline_ms,
+            budget
+                .deadline_ms
+                .map(|ms| ms.saturating_sub(asked.elapsed().as_millis() as u64)),
         );
-        let run = sim.run();
+        let run = sim.run().map_err(|e| match (e, budget.deadline_ms) {
+            (SimError::DeadlineExceeded { .. }, Some(limit_ms)) => {
+                SimError::DeadlineExceeded { limit_ms }
+            }
+            (e, _) => e,
+        });
         let breached = matches!(
             run,
             Err(SimError::OverBudget(_)) | Err(SimError::DeadlineExceeded { .. })
@@ -624,8 +787,11 @@ impl Server {
         let Some(b) = req.get("b").and_then(Value::as_str) else {
             return error_response(id, "bad_request", "equiv needs a string `b`");
         };
-        let state = self.resident();
-        match state.verifier.role_equivalence(a, b) {
+        let verifier = match self.resident().at(EQUIV_ISIS_K) {
+            Ok(v) => v,
+            Err(e) => return error_response(id, "sim", &e.to_string()),
+        };
+        match verifier.role_equivalence(a, b) {
             Ok(rep) => ok_response(
                 id,
                 "equiv",
@@ -694,14 +860,43 @@ impl Server {
                 ],
             );
         }
-        let verifier = match Verifier::new(
+        let net = match NetworkModel::from_configs(
             next_snap.devices().to_vec(),
             VsbProfile::ground_truth,
-            cur.isis_k,
         ) {
-            Ok(v) => v,
+            Ok(n) => Arc::new(n),
             Err(e) => return error_response(id, "config", &e.to_string()),
         };
+        // Carry forward: a push that touches no IS-IS input keeps every
+        // resident database (compared, not assumed — see
+        // `NetworkModel::same_igp_inputs`); any other push rebuilds the one
+        // at the cache's budget and drops the rest.
+        let carry = !delta.igp_affecting
+            && delta.added.is_empty()
+            && delta.removed.is_empty()
+            && cur.verifier.net.same_igp_inputs(&net);
+        let databases = if carry {
+            cur.built()
+        } else {
+            match IsisDb::build(&net, Some(cur.cache.k)) {
+                Ok(db) => vec![(cur.cache.k, Arc::new(db))],
+                Err(e) => return error_response(id, "config", &e.to_string()),
+            }
+        };
+        let mut verifiers: BTreeMap<u32, Arc<Verifier>> = databases
+            .into_iter()
+            .map(|(k, isis)| {
+                let compiled = CompiledNetwork {
+                    net: Arc::clone(&net),
+                    isis,
+                    isis_k: Some(k),
+                };
+                (k, Arc::new(Verifier::from_compiled(compiled)))
+            })
+            .collect();
+        let verifier = verifiers
+            .remove(&cur.cache.k)
+            .expect("the cache budget's database is always resident");
         let sweep_opts = SweepOptions {
             budget: self.opts.budget,
             ..SweepOptions::default()
@@ -743,12 +938,7 @@ impl Server {
                 ),
             ],
         );
-        let next = Arc::new(Resident {
-            snapshot: next_snap,
-            verifier,
-            cache: outcome.cache,
-            isis_k: cur.isis_k,
-        });
+        let next = Arc::new(Resident::new(next_snap, verifier, outcome.cache, verifiers));
         *self.state.write().unwrap_or_else(|p| p.into_inner()) = next;
         resp
     }

@@ -108,6 +108,16 @@ impl Topology {
         })
     }
 
+    /// Whether `other` is the same graph under the same numbering: the
+    /// same node names in the same order, and the same links in the same
+    /// order with the same per-side metrics. Everything else in a
+    /// topology is derived from these.
+    pub fn same_graph(&self, other: &Topology) -> bool {
+        self.names == other.names
+            && self.links == other.links
+            && self.link_metrics == other.link_metrics
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.names.len()

@@ -8,6 +8,7 @@
 //! [`Verifier::verify_all_routes`] fans out across threads (CPU-bound work
 //! on scoped threads, per the networking guides — no async runtime).
 
+use std::ops::ControlFlow;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1046,7 +1047,9 @@ impl Verifier {
     /// the reports alive at once to O(threads)) and the returned
     /// [`SweepOutcome`] keeps report-less shells for the post-join
     /// bookkeeping. Quarantined families are streamed post-join, in index
-    /// order. The sink runs on the calling thread.
+    /// order. The sink runs on the calling thread; once it returns
+    /// `Break`, it is called no more and the workers stop claiming
+    /// families.
     fn sweep_families_sink(
         &self,
         families: &[Vec<Ipv4Prefix>],
@@ -1054,9 +1057,9 @@ impl Verifier {
         threads: usize,
         opts: &SweepOptions,
         units: Option<&[usize]>,
-        mut sink: Option<&mut dyn FnMut(StreamedFamily)>,
+        mut sink: Option<&mut dyn FnMut(StreamedFamily) -> ControlFlow<()>>,
     ) -> Result<SweepOutcome, SimError> {
-        use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
         let _sweep = hoyan_obs::span("verify.sweep");
         // Fan-out occupancy: thread-count-dependent by nature, so a gauge
         // (the determinism contract covers counters/histograms only).
@@ -1122,6 +1125,7 @@ impl Verifier {
             }
         }
         let steals = AtomicU64::new(0);
+        let hung_up = AtomicBool::new(false);
         std::thread::scope(|s| {
             // Streaming channel: bounded at two families per worker, so a
             // slow sink throttles the sweep instead of buffering every
@@ -1148,8 +1152,13 @@ impl Verifier {
             let steals = &steals;
             let unit_of = &unit_of;
             // Under fail-fast, a class whose representative sorts above
-            // the lowest failure so far cannot change the surfaced error.
-            let moot = move |i: usize| opts.fail_fast && i >= min_failed.load(Ordering::Acquire);
+            // the lowest failure so far cannot change the surfaced error;
+            // after the sink hung up, no class can reach it.
+            let hung_up = &hung_up;
+            let moot = move |i: usize| {
+                (opts.fail_fast && i >= min_failed.load(Ordering::Acquire))
+                    || hung_up.load(Ordering::Acquire)
+            };
             let handles: Vec<_> = (0..nw)
                 .map(|w| {
                     let tx = tx.clone();
@@ -1341,12 +1350,17 @@ impl Verifier {
             // The streaming pump runs on this (the calling) thread while
             // the workers produce. Dropping the original sender first
             // leaves the workers holding the only clones, so the receive
-            // loop ends exactly when the last worker exits.
+            // loop ends exactly when the last worker exits. A sink that
+            // breaks hangs up: the workers see `hung_up` at their next
+            // claim, and dropping `rx` fails their pending sends.
             drop(tx);
             if let Some(rx) = rx {
                 let sink = sink.as_mut().expect("streaming channel implies a sink");
                 for item in rx {
-                    sink(item);
+                    if sink(item).is_break() {
+                        hung_up.store(true, Ordering::Release);
+                        break;
+                    }
                 }
             }
             // Join explicitly and re-raise the first *harness* panic (the
@@ -1422,9 +1436,11 @@ impl Verifier {
         }
         // Quarantine verdicts reach a streaming sink post-join too, in
         // index order, mirroring their deterministic fold above.
-        if let Some(sink) = sink.as_mut() {
+        if let Some(sink) = sink.as_mut().filter(|_| !hung_up.load(Ordering::Acquire)) {
             for q in &quarantined {
-                sink(StreamedFamily::Quarantined(q.clone()));
+                if sink(StreamedFamily::Quarantined(q.clone())).is_break() {
+                    break;
+                }
             }
         }
         let mut out = results.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -1533,16 +1549,18 @@ impl Verifier {
     /// Delivery order is *arrival* order for completed families (identify
     /// them by index or by each report's prefix) and index order for
     /// quarantined ones, which stream after the workers drain. The sink
-    /// runs on the calling thread; a slow sink backpressures the workers.
-    /// The set of streamed reports — and every counter — is identical to
-    /// the materialized sweep at any thread count; only the arrival order
-    /// varies (see `tests/determinism.rs`).
+    /// runs on the calling thread; a slow sink backpressures the workers,
+    /// and a sink that returns `Break` ends the sweep early (the summary
+    /// then counts only what finished). The set of streamed reports — and
+    /// every counter — is identical to the materialized sweep at any
+    /// thread count; only the arrival order varies (see
+    /// `tests/determinism.rs`).
     pub fn verify_all_routes_streaming(
         &self,
         k: u32,
         threads: usize,
         opts: &SweepOptions,
-        sink: &mut dyn FnMut(StreamedFamily),
+        sink: &mut dyn FnMut(StreamedFamily) -> ControlFlow<()>,
     ) -> Result<StreamSummary, SimError> {
         let families = self.families();
         let swept = self.sweep_families_sink(&families, k, threads, opts, None, Some(sink))?;

@@ -40,7 +40,7 @@
 //! cache and unique table), with whole-batch work stealing between workers
 //! — reports are byte-identical to the default `roundrobin` schedule at
 //! any thread count; only the `bdd.*` bill shrinks. `sweep --stream`
-//! prints per-family outcomes as workers finish them and keeps only
+//! prints per-family outcomes in the order workers finish them and keeps only
 //! running aggregates in memory (peak report memory O(threads), not
 //! O(families)); it does not combine with `--baseline`.
 //!
@@ -69,6 +69,8 @@
 //! A configuration directory holds one `<hostname>.cfg` per device in the
 //! dialect of `hoyan::config` (see `hoyan gen` for samples).
 
+use std::io::{BufWriter, ErrorKind, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -119,10 +121,13 @@ fn main() -> ExitCode {
     hoyan::obs::set_timing(timing);
     let outcome = run(&args);
     // Sinks run even when the command failed: the stats explain the failure.
-    if stats {
+    // A reader that closed stdout early (`hoyan sweep d | head -1`) got what
+    // it asked for: exit quietly, and print nothing more to the closed pipe.
+    let closed = matches!(outcome, Err(CliError::Closed));
+    if stats && !closed {
         print!("{}", hoyan::obs::render_table());
     }
-    if attribution {
+    if attribution && !closed {
         print!("{}", hoyan::obs::render_attribution(20));
     }
     if let Some(path) = stats_json {
@@ -138,7 +143,7 @@ fn main() -> ExitCode {
         }
     }
     match outcome {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) | Err(CliError::Closed) => ExitCode::SUCCESS,
         // Usage errors (bad flag values, missing operands) exit with 2,
         // the conventional "wrong invocation" code; runtime failures
         // (bad configs, failed verifications) keep exit code 1.
@@ -154,10 +159,23 @@ fn main() -> ExitCode {
 }
 
 /// CLI failure, split by exit code: `Usage` exits 2 (the invocation is
-/// wrong), `Run` exits 1 (the invocation was fine; the work failed).
+/// wrong), `Run` exits 1 (the invocation was fine; the work failed), and
+/// `Closed` exits 0 (the reader of stdout went away before the end).
 enum CliError {
     Usage(String),
     Run(String),
+    Closed,
+}
+
+/// Only stdout writes raise `io::Error`s through `?` here (every file
+/// operation maps its error to text first).
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> CliError {
+        match e.kind() {
+            ErrorKind::BrokenPipe => CliError::Closed,
+            _ => CliError::Run(format!("cannot write to stdout: {e}")),
+        }
+    }
 }
 
 impl From<String> for CliError {
@@ -264,19 +282,29 @@ fn load_dir(dir: &str) -> Result<Vec<DeviceConfig>, String> {
     Ok(configs)
 }
 
-fn verifier_for(dir: &str, k: u32) -> Result<Verifier, String> {
-    verifier_for_ordered(dir, k, hoyan::logic::BddOrdering::Registration)
+/// Loads `dir` and compiles it with the IS-IS database built at `isis_k`.
+fn verifier_for(dir: &str, isis_k: u32) -> Result<Verifier, String> {
+    verifier_for_ordered(dir, isis_k, hoyan::logic::BddOrdering::Registration)
 }
 
 fn verifier_for_ordered(
     dir: &str,
-    k: u32,
+    isis_k: u32,
     ordering: hoyan::logic::BddOrdering,
 ) -> Result<Verifier, String> {
     let configs = load_dir(dir)?;
-    Verifier::new_ordered(configs, VsbProfile::ground_truth, Some(k.max(3)), ordering)
+    Verifier::new_ordered(configs, VsbProfile::ground_truth, Some(isis_k), ordering)
         .map_err(|e| format!("model construction failed: {e}"))
 }
+
+/// The IS-IS budget floor of the commands that print a witness or run
+/// unbounded (`k = None`) simulations: `verify` and `packet` build at
+/// `max(k, 3)`, `scope`, `racing` and `equiv` at 3. Their output can depend
+/// on conditions outside the `k`-failure ball, which a database built at
+/// `k` alone does not keep. The sweep-shaped commands (`sweep`, `diff`)
+/// report only verdicts inside the ball and build at exactly `k` (DESIGN.md,
+/// "IS-IS budget").
+const WITNESS_ISIS_K: u32 = 3;
 
 fn get_bdd_order(args: &[String]) -> Result<hoyan::logic::BddOrdering, CliError> {
     match flag(args, "--bdd-order")? {
@@ -494,7 +522,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let prefix = parse_prefix(&flag(args, "--prefix")?.ok_or_else(|| usage("--prefix required"))?)?;
             let device = flag(args, "--device")?.ok_or_else(|| usage("--device required"))?;
             let k = get_k(args)?;
-            let v = verifier_for(dir, k)?;
+            let v = verifier_for(dir, k.max(WITNESS_ISIS_K))?;
             let r = v
                 .route_reachability(prefix, &device, k)
                 .map_err(|e| e.to_string())?;
@@ -518,7 +546,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 Some("ip") => hoyan::config::AclProto::Ip,
                 Some(other) => return Err(usage(format!("unknown --proto `{other}`"))),
             };
-            let v = verifier_for(dir, k)?;
+            let v = verifier_for(dir, k.max(WITNESS_ISIS_K))?;
             let packet = Packet {
                 src: "192.0.2.1".parse().expect("literal address"),
                 dst: prefix.network(),
@@ -538,7 +566,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "scope" => {
             let dir = args.get(1).ok_or_else(|| usage("scope needs a config directory"))?;
             let prefix = parse_prefix(&flag(args, "--prefix")?.ok_or_else(|| usage("--prefix required"))?)?;
-            let v = verifier_for(dir, 0)?;
+            let v = verifier_for(dir, WITNESS_ISIS_K)?;
             let scope = v.propagation_scope(prefix).map_err(|e| e.to_string())?;
             println!("{} devices hold a route for {prefix}:", scope.len());
             for n in scope {
@@ -550,6 +578,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let dir = args.get(1).ok_or_else(|| usage("routers needs a config directory"))?;
             let prefix = parse_prefix(&flag(args, "--prefix")?.ok_or_else(|| usage("--prefix required"))?)?;
             let device = flag(args, "--device")?.ok_or_else(|| usage("--device required"))?;
+            // A router failure fails all its links at once: a generous
+            // budget, whatever the query's `k`.
             let v = verifier_for(dir, 4)?;
             let fatal = v
                 .router_failure_tolerance(prefix, &device)
@@ -566,7 +596,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "racing" => {
             let dir = args.get(1).ok_or_else(|| usage("racing needs a config directory"))?;
             let prefix = parse_prefix(&flag(args, "--prefix")?.ok_or_else(|| usage("--prefix required"))?)?;
-            let v = verifier_for(dir, 0)?;
+            let v = verifier_for(dir, WITNESS_ISIS_K)?;
             let r = v.racing(prefix);
             println!(
                 "racing analysis for {prefix}: candidates={} solutions={} ambiguous={}",
@@ -581,7 +611,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let dir = args.get(1).ok_or_else(|| usage("equiv needs a config directory"))?;
             let a = flag(args, "--a")?.ok_or_else(|| usage("--a required"))?;
             let b = flag(args, "--b")?.ok_or_else(|| usage("--b required"))?;
-            let v = verifier_for(dir, 1)?;
+            let v = verifier_for(dir, WITNESS_ISIS_K)?;
             let r = v.role_equivalence(&a, &b).map_err(|e| e.to_string())?;
             println!(
                 "{a} ~ {b}: {}{}",
@@ -599,6 +629,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let opts = get_sweep_options(args)?;
             let ordering = get_bdd_order(args)?;
             let t0 = std::time::Instant::now();
+            // The report can run to megabytes (one line per fragile
+            // prefix): one lock and one buffer for all of it.
+            let mut out = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
             if has_flag(args, "--stream") {
                 // Streaming path: per-family outcomes print as workers
                 // finish them (arrival order) and only running aggregates
@@ -609,44 +642,59 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 }
                 let v = verifier_for_ordered(dir, k, ordering)?;
                 let mut fragile: Vec<(Ipv4Prefix, Vec<String>)> = Vec::new();
-                let mut sink = |item: StreamedFamily| match item {
-                    StreamedFamily::Done { reports, cost, .. } => {
-                        let Some(head) = reports.first() else { return };
-                        println!(
-                            "  family {} ({} prefix(es)): {} ops",
-                            head.prefix,
-                            reports.len(),
-                            cost.ops
-                        );
-                        for r in &reports {
-                            if !r.fragile.is_empty() {
-                                let names = r
-                                    .fragile
-                                    .iter()
-                                    .map(|n| v.net.topology.name(*n).to_string())
-                                    .collect();
-                                fragile.push((r.prefix, names));
+                // The sink cannot return an error: the first write failure
+                // is kept, stops the sweep, and is surfaced once it ends.
+                let mut written: std::io::Result<()> = Ok(());
+                let mut sink = |item: StreamedFamily| {
+                    let line = match item {
+                        StreamedFamily::Done { reports, cost, .. } => {
+                            let Some(head) = reports.first() else {
+                                return ControlFlow::Continue(());
+                            };
+                            for r in &reports {
+                                if !r.fragile.is_empty() {
+                                    let names = r
+                                        .fragile
+                                        .iter()
+                                        .map(|n| v.net.topology.name(*n).to_string())
+                                        .collect();
+                                    fragile.push((r.prefix, names));
+                                }
                             }
+                            writeln!(
+                                out,
+                                "  family {} ({} prefix(es)): {} ops",
+                                head.prefix,
+                                reports.len(),
+                                cost.ops
+                            )
                         }
-                    }
-                    StreamedFamily::Quarantined(q) => {
-                        println!("  QUARANTINED {}: {}", fam_label(&q.prefixes), q.outcome);
+                        StreamedFamily::Quarantined(q) => {
+                            writeln!(out, "  QUARANTINED {}: {}", fam_label(&q.prefixes), q.outcome)
+                        }
+                    };
+                    written = line;
+                    match written {
+                        Ok(()) => ControlFlow::Continue(()),
+                        Err(_) => ControlFlow::Break(()),
                     }
                 };
-                let summary = v
-                    .verify_all_routes_streaming(k, threads, &opts, &mut sink)
-                    .map_err(|e| e.to_string())?;
-                println!(
+                let swept = v.verify_all_routes_streaming(k, threads, &opts, &mut sink);
+                written?;
+                let summary = swept.map_err(|e| e.to_string())?;
+                writeln!(
+                    out,
                     "swept {} prefixes ({} family(ies), {} quarantined) at k={k} in {:?} [streaming]",
                     summary.prefixes,
                     summary.families,
                     summary.quarantined,
                     t0.elapsed()
-                );
+                )?;
                 fragile.sort();
                 for (p, names) in &fragile {
-                    println!("  {p}: not {k}-failure resilient at {names:?}");
+                    writeln!(out, "  {p}: not {k}-failure resilient at {names:?}")?;
                 }
+                out.flush()?;
                 return Ok(());
             }
             let (v, swept) = match flag(args, "--baseline")? {
@@ -655,11 +703,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let swept = v
                         .verify_all_routes_opts(k, threads, &opts)
                         .map_err(|e| e.to_string())?;
-                    println!(
+                    writeln!(
+                        out,
                         "swept {} prefixes at k={k} in {:?}",
                         swept.reports.len(),
                         t0.elapsed()
-                    );
+                    )?;
                     (v, swept)
                 }
                 Some(base_dir) => {
@@ -672,7 +721,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let v_base = Verifier::new_ordered(
                         base_snap.into_devices(),
                         VsbProfile::ground_truth,
-                        Some(k.max(3)),
+                        Some(k),
                         ordering,
                     )
                     .map_err(|e| format!("baseline model construction failed: {e}"))?;
@@ -682,20 +731,21 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let v = Verifier::new_ordered(
                         new_snap.into_devices(),
                         VsbProfile::ground_truth,
-                        Some(k.max(3)),
+                        Some(k),
                         ordering,
                     )
                     .map_err(|e| format!("model construction failed: {e}"))?;
                     let outcome = v
                         .reverify_opts(&delta, &cache, k, threads, &opts)
                         .map_err(|e| e.to_string())?;
-                    println!(
+                    writeln!(
+                        out,
                         "incremental sweep of {} prefixes at k={k} in {:?}: {} family(ies) recomputed, {} reused",
                         outcome.reports.len(),
                         t0.elapsed(),
                         outcome.recomputed,
                         outcome.reused
-                    );
+                    )?;
                     (
                         v,
                         SweepReport {
@@ -706,12 +756,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 }
             };
             if !swept.quarantined.is_empty() {
-                println!(
+                writeln!(
+                    out,
                     "{} family(ies) quarantined (reports above exclude them):",
                     swept.quarantined.len()
-                );
+                )?;
                 for q in &swept.quarantined {
-                    println!("  QUARANTINED {}: {}", fam_label(&q.prefixes), q.outcome);
+                    writeln!(out, "  QUARANTINED {}: {}", fam_label(&q.prefixes), q.outcome)?;
                 }
             }
             for r in swept.reports.iter().filter(|r| !r.fragile.is_empty()) {
@@ -720,8 +771,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     .iter()
                     .map(|n| v.net.topology.name(*n))
                     .collect();
-                println!("  {}: not {k}-failure resilient at {:?}", r.prefix, names);
+                writeln!(out, "  {}: not {k}-failure resilient at {:?}", r.prefix, names)?;
             }
+            out.flush()?;
             Ok(())
         }
         "diff" => {
@@ -737,20 +789,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 println!("families: all clean (no config changes)");
                 return Ok(());
             }
-            let v_a = Verifier::new(
-                snap_a.into_devices(),
-                VsbProfile::ground_truth,
-                Some(k.max(3)),
-            )
+            let v_a = Verifier::new(snap_a.into_devices(), VsbProfile::ground_truth, Some(k))
             .map_err(|e| format!("model construction failed for {dir_a}: {e}"))?;
             let (_, cache) = v_a
                 .verify_all_routes_cached(k, threads)
                 .map_err(|e| e.to_string())?;
-            let v_b = Verifier::new(
-                snap_b.into_devices(),
-                VsbProfile::ground_truth,
-                Some(k.max(3)),
-            )
+            let v_b = Verifier::new(snap_b.into_devices(), VsbProfile::ground_truth, Some(k))
             .map_err(|e| format!("model construction failed for {dir_b}: {e}"))?;
             let classes = v_b.classify_families(&delta, &cache, k);
             let dirty = classes.iter().filter(|(_, r)| r.is_some()).count();
@@ -872,7 +916,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 server.family_count(),
                 server.local_addr()
             );
-            use std::io::Write as _;
             let _ = std::io::stdout().flush();
             let summary = server.run();
             println!(

@@ -441,3 +441,37 @@ fn unknown_flags_exit_with_usage_code_2() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn sweep_into_a_reader_that_closes_early_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // `medium` at k=1 prints ~135 KB: more than the output buffer plus the
+    // pipe's capacity, so the sweep is still writing when the reader goes.
+    let dir = tempdir("closed-pipe");
+    let out = hoyan()
+        .args(["gen", dir.to_str().unwrap(), "--size", "medium", "--seed", "42"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    for extra in [None, Some("--stream")] {
+        let mut child = hoyan()
+            .args(["sweep", dir.to_str().unwrap(), "--k", "1", "--threads", "2"])
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut first = String::new();
+        // `hoyan sweep … | head -1`: one line, then the read end closes.
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut first)
+            .unwrap();
+        assert!(!first.is_empty(), "{extra:?}: no first line");
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{extra:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,6 +4,8 @@
 //! reports atomically and sorting the final list by prefix; this test pins
 //! the guarantee on a seeded topogen WAN.
 
+use std::ops::ControlFlow;
+
 use hoyan::core::{PrefixReport, StreamedFamily, SweepOptions, SweepSchedule, Verifier};
 use hoyan::device::VsbProfile;
 use hoyan::logic::BddOrdering;
@@ -163,12 +165,15 @@ fn streaming_sweep_matches_materialized() {
         let mut indices: Vec<usize> = Vec::new();
         let mut quarantined = 0usize;
         let summary = verifier
-            .verify_all_routes_streaming(1, 2, &opts, &mut |item| match item {
-                StreamedFamily::Done { index, reports: r, .. } => {
-                    indices.push(index);
-                    reports.extend(r);
+            .verify_all_routes_streaming(1, 2, &opts, &mut |item| {
+                match item {
+                    StreamedFamily::Done { index, reports: r, .. } => {
+                        indices.push(index);
+                        reports.extend(r);
+                    }
+                    StreamedFamily::Quarantined(_) => quarantined += 1,
                 }
-                StreamedFamily::Quarantined(_) => quarantined += 1,
+                ControlFlow::Continue(())
             })
             .unwrap();
         assert_eq!(summary.families, verifier.families().len());
@@ -185,6 +190,32 @@ fn streaming_sweep_matches_materialized() {
             &reports,
             &format!("streaming vs materialized ({schedule:?})"),
         );
+    }
+}
+
+/// A sink that breaks ends the sweep: it is called no more, and the
+/// workers stop claiming families instead of sweeping the rest unseen.
+#[test]
+fn streaming_sink_that_breaks_stops_the_sweep() {
+    let wan = batchy_wan();
+    let verifier = Verifier::new(wan.configs, VsbProfile::ground_truth, Some(1)).unwrap();
+    let total = verifier.families().len();
+    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
+        let opts = SweepOptions {
+            schedule,
+            ..SweepOptions::default()
+        };
+        let mut calls = 0usize;
+        let summary = verifier
+            .verify_all_routes_streaming(1, 1, &opts, &mut |_| {
+                calls += 1;
+                ControlFlow::Break(())
+            })
+            .unwrap();
+        assert_eq!(calls, 1, "{schedule:?}");
+        // One worker finishes at most the class it holds when the sink
+        // hangs up, past the few the channel buffered.
+        assert!(summary.families < total, "{schedule:?}: {summary:?} of {total}");
     }
 }
 

@@ -423,6 +423,71 @@ fn prefix_dependent_inputs_are_covered_by_the_class_key() {
     );
 }
 
+/// The functions on the IS-IS build path — `IsisDb::build`,
+/// `Simulation::new_igp_for` and what `Mode::Igp` runs — that read an IGP
+/// input: the IGP block, an interface metric, or a router id. As
+/// `(file, fn)` pairs.
+fn igp_input_readers(root: &Path) -> std::collections::BTreeSet<(String, String)> {
+    const READS: [&str; 4] = ["config.isis", ".link_metric", ".metric_from(", ".router_id"];
+    let mut readers = std::collections::BTreeSet::new();
+    for file in ["isis.rs", "propagate.rs", "network.rs", "topology.rs"] {
+        let path = root.join("crates/core/src").join(file);
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        readers.extend(
+            fn_readers(&text, &READS)
+                .into_iter()
+                .map(|f| (file.to_string(), f)),
+        );
+    }
+    readers
+}
+
+#[test]
+fn igp_inputs_are_covered_by_the_carry_forward_rule() {
+    // The daemon carries its IS-IS databases across a push when the push
+    // is not IGP-affecting, adds or removes no device, and
+    // `NetworkModel::same_igp_inputs` holds (crates/core/src/serve.rs).
+    // That is sound only while those checks cover every input the IS-IS
+    // build reads. These are its readers today, with the check covering
+    // each one's input.
+    const ALLOWED: [(&str, &str); 11] = [
+        // The checks themselves.
+        ("network.rs", "same_igp_inputs"),
+        ("topology.rs", "same_graph"),
+        // The IGP block: `igp_affecting` and `same_igp_inputs`.
+        ("network.rs", "runs_isis"),
+        ("network.rs", "isis_adjacency"),
+        // Interface metrics: `Topology::same_graph`.
+        ("network.rs", "igp_distances"),
+        ("topology.rs", "from_configs"),
+        ("topology.rs", "metric_from"),
+        ("propagate.rs", "emit"),
+        // Router ids: `same_igp_inputs`. (`refresh_aggregates_for` reads
+        // one only in BGP mode.)
+        ("propagate.rs", "seed"),
+        ("propagate.rs", "deliver"),
+        ("propagate.rs", "refresh_aggregates_for"),
+    ];
+    let allowed: std::collections::BTreeSet<(String, String)> = ALLOWED
+        .iter()
+        .map(|(f, n)| (f.to_string(), n.to_string()))
+        .collect();
+    let found = igp_input_readers(Path::new(env!("CARGO_MANIFEST_DIR")));
+    let new: Vec<_> = found.difference(&allowed).collect();
+    assert!(
+        new.is_empty(),
+        "new readers of an IGP input on the IS-IS build path: {new:?}. The daemon's \
+         carry-forward rule (`NetworkModel::same_igp_inputs`, used by `handle_whatif` \
+         in crates/core/src/serve.rs) must compare the input they read; extend it, \
+         then add them here"
+    );
+    let gone: Vec<_> = allowed.difference(&found).collect();
+    assert!(
+        gone.is_empty(),
+        "allowlisted readers no longer read an IGP input: {gone:?}; drop them here"
+    );
+}
+
 #[test]
 fn fn_reader_scan_attributes_lines_to_their_function() {
     let src = "pub fn a() {\n    x.networks.len(); // .aggregates\n}\nfn b(y: u8) {\n    // y.networks\n}\npub(crate) fn c() -> bool {\n    p.is_default()\n}\n#[cfg(test)]\nfn d() { z.networks }\n";

@@ -7,6 +7,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use hoyan::config::parse_config;
@@ -34,11 +35,22 @@ fn opts(workers: usize) -> ServeOptions {
 /// rejected by a saturated daemon), the out-of-band `request_shutdown`
 /// still drains the scope so the failure surfaces instead of hanging.
 fn with_server<F: FnOnce(SocketAddr)>(wan: &Wan, o: ServeOptions, f: F) {
-    let server = Server::bind(wan.configs.clone(), "127.0.0.1:0", o).expect("bind");
+    with_daemon(&wan.configs, o, |_, addr| f(addr))
+}
+
+/// [`with_server`] over any configs, with the daemon itself in reach of
+/// `f` (for its test accessors).
+fn with_daemon<F: FnOnce(&Server, SocketAddr)>(
+    configs: &[hoyan::config::DeviceConfig],
+    o: ServeOptions,
+    f: F,
+) {
+    let server = Server::bind(configs.to_vec(), "127.0.0.1:0", o).expect("bind");
     let addr = server.local_addr();
     std::thread::scope(|s| {
         let daemon = s.spawn(|| server.run());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr)));
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&server, addr)));
         let mut drained = false;
         for _ in 0..200 {
             match try_request(addr, r#"{"kind":"shutdown"}"#) {
@@ -430,4 +442,313 @@ fn serve_cli_smoke_ephemeral_port_and_clean_drain() {
     let status = child.wait().expect("serve exits");
     assert!(status.success(), "serve must drain cleanly: {status:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `reach` reply computed independently: a direct family simulation at
+/// failure budget `k` on `v`, rendered as the daemon renders a miss.
+fn direct_reach_line(v: &Verifier, id: &str, prefix: Ipv4Prefix, device: &str, k: u32) -> String {
+    let mut sim = v.simulate(prefix, Some(k)).expect("simulate");
+    let node = v.net.topology.node(device).expect("device");
+    let cond = sim.reach_cond(node, prefix);
+    let reachable = sim.mgr.eval(cond, &[]);
+    let resilient = sim.mgr.min_failures_to_falsify(cond) > k;
+    let id_val = Value::Str(id.to_string());
+    render_reach_response(Some(&id_val), prefix, device, k, reachable, resilient, "sim").to_string()
+}
+
+fn reach_req(id: &str, prefix: Ipv4Prefix, device: &str, k: Option<u32>) -> String {
+    match k {
+        Some(k) => format!(
+            r#"{{"id":"{id}","kind":"reach","prefix":"{prefix}","device":"{device}","k":{k}}}"#
+        ),
+        None => format!(r#"{{"id":"{id}","kind":"reach","prefix":"{prefix}","device":"{device}"}}"#),
+    }
+}
+
+fn whatif_req(texts: &[String]) -> String {
+    Value::Obj(vec![
+        ("kind".into(), Value::Str("whatif".into())),
+        (
+            "configs".into(),
+            Value::Arr(texts.iter().cloned().map(Value::Str).collect()),
+        ),
+    ])
+    .to_string()
+}
+
+/// `wan`'s configs with `host`'s text edited by `edit`: the pushed text and
+/// the configs a fresh daemon would load.
+fn edited(
+    wan: &Wan,
+    host: &str,
+    edit: impl Fn(&str) -> String,
+) -> (String, Vec<hoyan::config::DeviceConfig>) {
+    let at = wan
+        .configs
+        .iter()
+        .position(|c| c.hostname == host)
+        .expect("host config");
+    let text = edit(&wan.texts[at]);
+    assert_ne!(text, wan.texts[at], "the edit must change {host}");
+    let mut configs = wan.configs.clone();
+    configs[at] = parse_config(&text).expect("edited config parses");
+    (text, configs)
+}
+
+fn hostnames(wan: &Wan) -> Vec<String> {
+    wan.configs.iter().map(|c| c.hostname.clone()).collect()
+}
+
+#[test]
+fn off_cache_reach_uses_a_database_built_at_or_above_its_budget() {
+    let wan = tiny();
+    let devices = hostnames(&wan);
+    with_daemon(&wan.configs, opts(2), |server, addr| {
+        assert!(server.isis_db(1).is_some(), "the bind builds the cache's budget");
+        assert!(server.isis_db(2).is_none());
+        let mut c = Client::connect(addr);
+        // k=2 and k=4 have no resident database at or above them and build
+        // one; k=3 is then answered from the budget-4 one.
+        for k in [2u32, 4, 3] {
+            let direct = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(k))
+                .expect("build");
+            for (prefix, _, _) in &wan.prefix_origin {
+                for d in &devices {
+                    let line = c.send(&reach_req("m", *prefix, d, Some(k)));
+                    assert_eq!(line, direct_reach_line(&direct, "m", *prefix, d, k), "k={k}");
+                }
+            }
+        }
+        assert!(server.isis_db(2).is_some() && server.isis_db(4).is_some());
+        assert!(server.isis_db(3).is_none(), "k=3 must reuse the budget-4 database");
+    });
+}
+
+#[test]
+fn an_on_demand_database_is_built_under_the_request_budget() {
+    let wan = tiny();
+    let (prefix, _, pe) = wan.prefix_origin[0].clone();
+    let links = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(0))
+        .expect("build")
+        .net
+        .topology
+        .link_count() as u32;
+    let far = links + 10;
+    with_daemon(&wan.configs, opts(2), |server, addr| {
+        let mut c = Client::connect(addr);
+        // A budget the new database cannot fit: a deadline already spent,
+        // or a single BDD operation. Each is a structured error, and the
+        // breach leaves nothing resident.
+        for budget in [r#""deadline_ms":0"#, r#""budget_ops":1"#] {
+            let line = c.send(&format!(
+                r#"{{"id":"x","kind":"reach","prefix":"{prefix}","device":"{pe}","k":{far},{budget}}}"#
+            ));
+            let v = json_parse(&line).expect("json");
+            assert_eq!(field(&v, "error"), &Value::Str("over_budget".into()), "{line}");
+            assert!(server.isis_db(links).is_none() && server.isis_db(far).is_none());
+        }
+        // The daemon keeps answering: a hit, then the same miss without a
+        // budget, from a database capped at the link count.
+        let line = c.send(&reach_req("h", prefix, &pe, None));
+        assert_eq!(line, expected_reach_line(&wan.configs, "h", prefix, &pe, 1));
+        let direct = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(far))
+            .expect("build");
+        let line = c.send(&reach_req("m", prefix, &pe, Some(far)));
+        assert_eq!(line, direct_reach_line(&direct, "m", prefix, &pe, far));
+        assert!(server.isis_db(links).is_some() && server.isis_db(far).is_none());
+    });
+}
+
+#[test]
+fn equiv_answers_at_the_cli_budget() {
+    let wan = tiny();
+    let v3 = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).expect("build");
+    let pairs = [
+        ("CR0x0", "CR0x1"),
+        ("CR0x0", "PE0x0"),
+        ("PE0x0", "PE1x0"),
+        ("DC0x0", "DC1x0"),
+        ("MAN0x0", "MAN1x0"),
+    ];
+    with_daemon(&wan.configs, opts(2), |server, addr| {
+        let mut c = Client::connect(addr);
+        for (a, b) in pairs {
+            let line = c.send(&format!(r#"{{"kind":"equiv","a":"{a}","b":"{b}"}}"#));
+            let v = json_parse(&line).expect("json");
+            let want = v3.role_equivalence(a, b).expect("equiv");
+            assert_eq!(field(&v, "equivalent"), &Value::Bool(want.equivalent), "{line}");
+            let first = match want.first_difference {
+                Some(p) => Value::Str(p.to_string()),
+                None => Value::Null,
+            };
+            assert_eq!(field(&v, "first_difference"), &first, "{line}");
+        }
+        assert!(server.isis_db(3).is_some());
+    });
+}
+
+#[test]
+fn a_push_that_leaves_the_igp_alone_keeps_every_database() {
+    let wan = tiny();
+    let (prefix, dc, pe) = wan.prefix_origin[0].clone();
+    let new_prefix: Ipv4Prefix = "198.51.100.0/24".parse().unwrap();
+    let (pushed, updated) = edited(&wan, &dc, |t| t.replacen(
+        "  network ",
+        &format!("  network {new_prefix}\n  network "),
+        1,
+    ));
+    with_daemon(&wan.configs, opts(2), |server, addr| {
+        let mut c = Client::connect(addr);
+        // A k=2 miss makes a second database resident.
+        c.send(&reach_req("m", prefix, &pe, Some(2)));
+        let (db1, db2) = (server.isis_db(1).unwrap(), server.isis_db(2).unwrap());
+        let line = c.send(&whatif_req(&[pushed]));
+        assert!(line.contains("\"ok\":true"), "{line}");
+        assert!(Arc::ptr_eq(&db1, &server.isis_db(1).unwrap()), "budget 1 rebuilt");
+        assert!(Arc::ptr_eq(&db2, &server.isis_db(2).unwrap()), "budget 2 rebuilt");
+        // Answers after the push are those of the pushed configs.
+        let v2 = Verifier::new(updated.clone(), VsbProfile::ground_truth, Some(2)).expect("build");
+        for d in hostnames(&wan) {
+            let line = c.send(&reach_req("h", new_prefix, &d, None));
+            assert_eq!(line, expected_reach_line(&updated, "h", new_prefix, &d, 1));
+            let line = c.send(&reach_req("m", new_prefix, &d, Some(2)));
+            assert_eq!(line, direct_reach_line(&v2, "m", new_prefix, &d, 2));
+        }
+    });
+}
+
+#[test]
+fn a_push_that_touches_an_igp_input_rebuilds_and_answers_like_a_fresh_bind() {
+    let wan = tiny();
+    let devices = hostnames(&wan);
+    // The script both daemons answer: every cached and every k=2 reach,
+    // and one equiv (not `stats`: its counters tell the daemons apart).
+    let script = |addr: SocketAddr| -> Vec<String> {
+        let mut c = Client::connect(addr);
+        let mut lines = Vec::new();
+        for (prefix, _, _) in &wan.prefix_origin {
+            for d in &devices {
+                lines.push(c.send(&reach_req("h", *prefix, d, None)));
+                lines.push(c.send(&reach_req("m", *prefix, d, Some(2))));
+            }
+        }
+        lines.push(c.send(r#"{"kind":"equiv","a":"CR0x0","b":"CR0x1"}"#));
+        lines
+    };
+    // An IGP metric (`igp_affecting`), and a router id: a policy-class
+    // edit to the diff, but the last tie-break of equal-cost IGP routes.
+    let edits = [
+        ("metric", "link-metric 20\n", "link-metric 23\n"),
+        ("router id", "router-id 1\n", "router-id 77\n"),
+    ];
+    for (what, from, to) in edits {
+        let (pushed, updated) = edited(&wan, "CR0x0", |t| t.replacen(from, to, 1));
+        let mut after_push = Vec::new();
+        with_daemon(&wan.configs, opts(2), |server, addr| {
+            let mut c = Client::connect(addr);
+            let (prefix, _, pe) = &wan.prefix_origin[0];
+            c.send(&reach_req("m", *prefix, pe, Some(2)));
+            let db1 = server.isis_db(1).unwrap();
+            assert!(server.isis_db(2).is_some());
+            let line = c.send(&whatif_req(&[pushed]));
+            assert!(line.contains("\"ok\":true"), "{what}: {line}");
+            assert!(!Arc::ptr_eq(&db1, &server.isis_db(1).unwrap()), "{what}: not rebuilt");
+            assert!(server.isis_db(2).is_none(), "{what}: budget 2 must be dropped");
+            after_push = script(addr);
+        });
+        let mut fresh = Vec::new();
+        with_daemon(&updated, opts(2), |_, addr| fresh = script(addr));
+        assert_eq!(after_push, fresh, "{what}");
+    }
+}
+
+#[test]
+fn a_reader_beside_five_pushes_sees_one_snapshot_per_reply() {
+    let wan = tiny();
+    let (_, dc, pe) = wan.prefix_origin[0].clone();
+    let added: Vec<Ipv4Prefix> = (0..5)
+        .map(|j| format!("198.51.{}.0/24", 100 + j).parse().unwrap())
+        .collect();
+    // Snapshot i announces the first i added prefixes; push i moves the
+    // daemon from snapshot i-1 to snapshot i.
+    let snapshots: Vec<(String, Vec<hoyan::config::DeviceConfig>)> = (0..=added.len())
+        .map(|i| {
+            let networks: String = added[..i].iter().map(|p| format!("  network {p}\n")).collect();
+            if i == 0 {
+                let at = wan.configs.iter().position(|c| c.hostname == dc).unwrap();
+                return (wan.texts[at].clone(), wan.configs.clone());
+            }
+            edited(&wan, &dc, |t| t.replacen("  network ", &format!("{networks}  network "), 1))
+        })
+        .collect();
+    // expected[i][(j, k)]: the reply to `reach added[j] at pe` under
+    // snapshot i, at the cache's budget (None) and at k=2.
+    let asks: Vec<(usize, Option<u32>)> = (0..added.len())
+        .flat_map(|j| [(j, None), (j, Some(2))])
+        .collect();
+    let expected: Vec<Vec<String>> = snapshots
+        .iter()
+        .enumerate()
+        .map(|(i, (_, configs))| {
+            let v2 = Verifier::new(configs.clone(), VsbProfile::ground_truth, Some(2)).unwrap();
+            let v1 = Verifier::new(configs.clone(), VsbProfile::ground_truth, Some(1)).unwrap();
+            asks.iter()
+                .map(|&(j, k)| match k {
+                    // Announced: a cache hit. Not yet: a miss that finds
+                    // nobody announcing it.
+                    None if j < i => expected_reach_line(configs, "r", added[j], &pe, 1),
+                    None => direct_reach_line(&v1, "r", added[j], &pe, 1),
+                    Some(k) => direct_reach_line(&v2, "r", added[j], &pe, k),
+                })
+                .collect()
+        })
+        .collect();
+    // The miss rendering differs from a hit only in `source`; make sure
+    // the replies tell the snapshots apart at all.
+    for j in 0..added.len() {
+        assert_ne!(expected[j][2 * j], expected[j + 1][2 * j]);
+    }
+    with_daemon(&wan.configs, opts(2), |server, addr| {
+        let db1 = server.isis_db(1).unwrap();
+        let pushing = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let mut c = Client::connect(addr);
+                // The snapshot index the daemon can have reached so far:
+                // replies on one connection never go back in time.
+                let mut floor = 0usize;
+                let mut replies = 0usize;
+                let mut last_pass = false;
+                loop {
+                    for (a, (j, k)) in asks.iter().enumerate() {
+                        let line = c.send(&reach_req("r", added[*j], &pe, *k));
+                        let at = (floor..expected.len()).find(|&i| expected[i][a] == line);
+                        let Some(i) = at else {
+                            panic!("reply matches no snapshot from {floor} on: {line}");
+                        };
+                        floor = i;
+                        replies += 1;
+                    }
+                    if last_pass {
+                        break;
+                    }
+                    last_pass = !pushing.load(std::sync::atomic::Ordering::Acquire);
+                }
+                (floor, replies)
+            });
+            let mut w = Client::connect(addr);
+            for (i, (text, _)) in snapshots.iter().enumerate().skip(1) {
+                let line = w.send(&whatif_req(std::slice::from_ref(text)));
+                assert!(line.contains("\"ok\":true"), "push {i}: {line}");
+            }
+            pushing.store(false, std::sync::atomic::Ordering::Release);
+            let (floor, replies) = reader.join().expect("reader");
+            assert_eq!(floor, added.len(), "the last pass must see the last snapshot");
+            assert!(replies > asks.len());
+        });
+        assert!(
+            Arc::ptr_eq(&db1, &server.isis_db(1).unwrap()),
+            "five local pushes must carry the database forward"
+        );
+    });
 }
