@@ -9,7 +9,7 @@
 //! `experiments regress <baseline.json> <candidate.json> [--warn-only]
 //! [--counters-only]` is different: it diffs two `BENCH_<suite>.json` files
 //! and exits non-zero if the candidate regressed. Deterministic counters
-//! (everything under `counters`/`gauges`/`orderings`/`family_cost`)
+//! (everything under `counters`/`gauges`/`family_cost`)
 //! tolerate a 2% increase; wall-clock leaves (`*_ns`, `*_ms`) tolerate 40%
 //! (schedulers are noisy); decreases are reported but never fail.
 //! `--warn-only` prints the same report but always exits 0 — the advisory
@@ -27,7 +27,7 @@
 //! `faults` arms a seeded fault-injection plan, drives quarantined sweeps
 //! at several thread counts, checks the quarantined set is thread-count
 //! invariant, and writes `BENCH_faults.json`. `wan` sweeps the paper-scale
-//! `wan-paper` fixture round-robin and dependency-scheduled and writes
+//! `wan-paper` fixture materialized and streamed and writes
 //! `BENCH_wan.json`. `serve` binds the resident daemon on an ephemeral
 //! port, fires a seeded request mix from 8 concurrent in-process clients
 //! (cache-hit `reach`, fresh-simulation `reach k=2`, hostile over-budget
@@ -45,9 +45,7 @@ use std::time::{Duration, Instant};
 use hoyan_baselines::{BatfishLike, MinesweeperLike, PlanktonLike};
 use hoyan_bench::{fmt_dur, Cdf};
 use hoyan_config::ConfigSnapshot;
-use hoyan_core::{
-    packet_reach, NetworkModel, StreamedFamily, SweepOptions, SweepSchedule, Verifier,
-};
+use hoyan_core::{packet_reach, NetworkModel, StreamedFamily, SweepOptions, Verifier};
 use hoyan_device::{Packet, VsbProfile};
 use hoyan_nettypes::{Ipv4Prefix, NodeId};
 use hoyan_rt::bench::BenchSuite;
@@ -874,64 +872,11 @@ fn bdd(quick: bool) {
 
     let sweep_snapshot = hoyan_obs::export_json();
 
-    // Window 3: variable-ordering comparison. One single-threaded sweep per
-    // `BddOrdering` on the same fixture — single-threaded so `bdd.ops` and
-    // peak live nodes measure the per-ordering cost, not scheduling noise.
-    println!(" ordering comparison (k={k}, 1 thread):");
-    println!(
-        "   {:<14} {:>12} {:>12} {:>10}",
-        "order", "bdd.ops", "peak_nodes", "sweep"
-    );
-    let mut ordering_rows = String::new();
-    for ordering in hoyan_logic::BddOrdering::ALL {
-        let v = Verifier::new_ordered(
-            wan.configs.clone(),
-            VsbProfile::ground_truth,
-            Some(3),
-            ordering,
-        )
-        .expect("ordered verifier");
-        hoyan_obs::reset_metrics();
-        let t0 = Instant::now();
-        let ordered = v.verify_all_routes(k, 1).expect("ordered sweep").reports;
-        let wall = t0.elapsed();
-        assert_eq!(
-            ordered.len(),
-            reports.len(),
-            "ordering {ordering} changed the report set"
-        );
-        let counters = hoyan_obs::counter_values();
-        let gauges = hoyan_obs::gauge_values();
-        println!(
-            "   {:<14} {:>12} {:>12} {:>10}",
-            ordering.name(),
-            counters["bdd.ops"],
-            gauges["bdd.peak_nodes"],
-            fmt_dur(wall)
-        );
-        if !ordering_rows.is_empty() {
-            ordering_rows.push_str(",\n      ");
-        }
-        use std::fmt::Write as _;
-        let _ = write!(
-            ordering_rows,
-            "{{\"order\": \"{}\", \"bdd_ops\": {}, \"bdd_peak_nodes\": {}, \
-             \"shared_imports\": {}, \"sweep_ms\": {}}}",
-            ordering.name(),
-            counters["bdd.ops"],
-            gauges["bdd.peak_nodes"],
-            counters["bdd.shared_imports"],
-            wall.as_millis()
-        );
-    }
-
     let mut suite = BenchSuite::new("bdd");
     // The metrics snapshot covers exactly the scoped sweep above (under
-    // `"sweep"`), plus the per-ordering comparison rows; the timing samples
-    // below re-run the sweep but do not touch the snapshot.
-    suite.set_metrics_json(format!(
-        "{{\n    \"sweep\": {sweep_snapshot},\n    \"orderings\": [\n      {ordering_rows}\n    ]\n  }}"
-    ));
+    // `"sweep"`); the timing samples below re-run the sweep but do not
+    // touch the snapshot.
+    suite.set_metrics_json(format!("{{\n    \"sweep\": {sweep_snapshot}\n  }}"));
     let samples = if quick { 2 } else { 5 };
     suite.bench_with_samples("sweep", samples, &mut || {
         verifier.verify_all_routes(k, threads).expect("sweep")
@@ -1012,11 +957,9 @@ fn faults(quick: bool) {
 // --------------------------------------------------- Paper-scale WAN sweep
 
 /// The Table-3-scale campaign: the `wan-paper` fixture (O(100) routers,
-/// O(10k) prefixes) swept two ways — round-robin (the baseline bill) and
-/// dependency-aware scheduling through the *streaming* API (same verdicts,
-/// fewer BDD ops, bounded resident report memory). Both must agree on
-/// every verdict; the deps schedule must beat round-robin on `bdd.ops` and
-/// ITE hit rate. Writes `BENCH_wan.json`.
+/// O(10k) prefixes) swept once materialized and once through the
+/// *streaming* API (bounded resident report memory). Both must agree on
+/// every verdict and on the BDD bill. Writes `BENCH_wan.json`.
 fn wan_sweep(quick: bool) {
     let spec = if quick { WanSpec::small(42) } else { WanSpec::wan_paper(42) };
     let wan = spec.build();
@@ -1026,46 +969,42 @@ fn wan_sweep(quick: bool) {
         wan.customer_prefixes.len()
     );
     let k = 1u32;
-    // Two workers: enough for whole-batch stealing to fire (the gauge the
-    // regress gate pins) while staying honest on a single-core container.
-    // The counters below are thread-count invariant either way.
+    // Two workers, as in the other pinned sweeps; the counters below are
+    // thread-count invariant either way.
     let threads = 2usize;
+    // IS-IS at exactly the sweep's budget, as `hoyan sweep` builds it.
     let verifier =
-        Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).expect("verifier");
+        Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(k)).expect("verifier");
     let families = verifier.families().len();
+    let opts = SweepOptions::default();
 
-    // Window 1: round-robin exact sweep — the schedule the deps planner
-    // has to beat on the same workload.
+    // Window 1: the materialized exact sweep — the snapshot this file
+    // carries.
     hoyan_obs::reset_metrics();
     let t0 = Instant::now();
-    let rr = verifier.verify_all_routes(k, threads).expect("roundrobin sweep");
-    let rr_wall = t0.elapsed();
+    let swept = verifier.verify_all_routes_opts(k, threads, &opts).expect("sweep");
+    let wall = t0.elapsed();
     let counters = hoyan_obs::counter_values();
-    let rr_ops = counters["bdd.ops"];
-    let rr_hits = counters["bdd.ite_cache_hits"];
-    let rr_misses = counters["bdd.ite_cache_misses"];
-    let rr_snapshot = hoyan_obs::export_json();
-    let hit_rate = |hits: u64, misses: u64| 100.0 * hits as f64 / (hits + misses).max(1) as f64;
+    let ops = counters["bdd.ops"];
+    let hits = counters["bdd.ite_cache_hits"];
+    let misses = counters["bdd.ite_cache_misses"];
+    let snapshot = hoyan_obs::export_json();
     println!(
-        " roundrobin: {} on {threads} threads | {} prefixes | bdd.ops {rr_ops} | ITE hit rate {:.1}%",
-        fmt_dur(rr_wall),
-        rr.reports.len(),
-        hit_rate(rr_hits, rr_misses)
+        " sweep:  {} on {threads} threads | {} prefixes | bdd.ops {ops} | ITE hit rate {:.1}%",
+        fmt_dur(wall),
+        swept.reports.len(),
+        100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
 
-    // Window 2: dependency-aware schedule, consumed through the streaming
-    // API — per-family results leave through the sink as they finish, so
-    // peak resident report memory is O(workers), not O(families).
-    let deps_opts = SweepOptions {
-        schedule: SweepSchedule::Deps,
-        ..SweepOptions::default()
-    };
+    // Window 2: the same sweep consumed through the streaming API —
+    // per-family results leave through the sink as they finish, so peak
+    // resident report memory is O(workers), not O(families).
     hoyan_obs::reset_metrics();
     let t0 = Instant::now();
     let mut streamed: Vec<(Ipv4Prefix, Vec<NodeId>, Vec<NodeId>)> = Vec::new();
     let mut streamed_quarantined = 0usize;
     let summary = verifier
-        .verify_all_routes_streaming(k, threads, &deps_opts, &mut |item| match item {
+        .verify_all_routes_streaming(k, threads, &opts, &mut |item| match item {
             StreamedFamily::Done { reports, .. } => {
                 for r in reports {
                     streamed.push((r.prefix, r.scope, r.fragile));
@@ -1077,66 +1016,41 @@ fn wan_sweep(quick: bool) {
                 std::ops::ControlFlow::Continue(())
             }
         })
-        .expect("deps sweep");
-    let deps_wall = t0.elapsed();
-    let counters = hoyan_obs::counter_values();
-    let deps_ops = counters["bdd.ops"];
-    let deps_hits = counters["bdd.ite_cache_hits"];
-    let deps_misses = counters["bdd.ite_cache_misses"];
-    let sched_batches = counters["verify.sched_batches"];
-    let sched_steals = hoyan_obs::gauge_values()["verify.sched_steals"];
-    let deps_snapshot = hoyan_obs::export_json();
+        .expect("streaming sweep");
+    let stream_wall = t0.elapsed();
+    let stream_ops = hoyan_obs::counter_values()["bdd.ops"];
     println!(
-        " deps:       {} on {threads} threads | bdd.ops {deps_ops} | ITE hit rate {:.1}% \
-         | {sched_batches} batches, {sched_steals} steals",
-        fmt_dur(deps_wall),
-        hit_rate(deps_hits, deps_misses)
+        " stream: {} on {threads} threads | bdd.ops {stream_ops}",
+        fmt_dur(stream_wall)
     );
 
-    // Verdict equivalence: the streamed deps sweep must answer exactly
-    // what the materialized round-robin sweep answered.
+    // Equivalence: the streamed sweep must answer exactly what the
+    // materialized sweep answered, for the same BDD work.
     assert_eq!(streamed_quarantined, 0, "wan-paper fixture must sweep clean");
     assert_eq!(summary.quarantined, 0);
-    assert_eq!(summary.prefixes, rr.reports.len());
+    assert_eq!(summary.prefixes, swept.reports.len());
     streamed.sort_by_key(|(p, _, _)| *p);
-    assert_eq!(rr.reports.len(), streamed.len());
-    for (e, (p, scope, fragile)) in rr.reports.iter().zip(&streamed) {
+    assert_eq!(swept.reports.len(), streamed.len());
+    for (e, (p, scope, fragile)) in swept.reports.iter().zip(&streamed) {
         assert_eq!(e.prefix, *p);
-        assert_eq!(&e.scope, scope, "deps scope differs for {}", e.prefix);
-        assert_eq!(&e.fragile, fragile, "deps fragility differs for {}", e.prefix);
+        assert_eq!(&e.scope, scope, "streamed scope differs for {}", e.prefix);
+        assert_eq!(&e.fragile, fragile, "streamed fragility differs for {}", e.prefix);
     }
-
-    // The point of the schedule: families sharing origin footprints land
-    // back-to-back on a warm arena, so the ITE cache keeps paying out.
-    assert!(
-        deps_ops < rr_ops,
-        "deps schedule must cut bdd.ops (deps {deps_ops} vs roundrobin {rr_ops})"
-    );
-    assert!(
-        hit_rate(deps_hits, deps_misses) > hit_rate(rr_hits, rr_misses),
-        "deps schedule must raise the ITE hit rate"
-    );
+    assert_eq!(stream_ops, ops, "streaming must not change the BDD bill");
 
     let mut suite = BenchSuite::new("wan");
     // `summary/counters` carries the headline deterministic counters for
-    // the strict (`--counters-only`) regress gate; `summary/gauges` holds
-    // the steal tally (thread-count dependent, so gauge-classed and
-    // excluded from the strict gate — the wan gate test pins it on the
-    // committed file instead). Wall times live outside `counters` so the
-    // strict gate never sees them.
+    // the strict (`--counters-only`) regress gate. Wall times live outside
+    // `counters` so the strict gate never sees them.
     suite.set_metrics_json(format!(
-        "{{\n    \"sweep_roundrobin\": {rr_snapshot},\n    \"sweep_deps\": {deps_snapshot},\n    \
+        "{{\n    \"sweep\": {snapshot},\n    \
          \"summary\": {{\"counters\": {{\
          \"families\": {families}, \"prefixes\": {}, \
-         \"rr_bdd_ops\": {rr_ops}, \"rr_ite_hits\": {rr_hits}, \"rr_ite_misses\": {rr_misses}, \
-         \"deps_bdd_ops\": {deps_ops}, \"deps_ite_hits\": {deps_hits}, \
-         \"deps_ite_misses\": {deps_misses}, \
-         \"sched_batches\": {sched_batches}}}, \
-         \"gauges\": {{\"sched_steals\": {sched_steals}}}, \
-         \"wall\": {{\"roundrobin_ms\": {}, \"deps_ms\": {}}}}}\n  }}",
-        rr.reports.len(),
-        rr_wall.as_millis(),
-        deps_wall.as_millis()
+         \"bdd_ops\": {ops}, \"ite_hits\": {hits}, \"ite_misses\": {misses}}}, \
+         \"wall\": {{\"sweep_ms\": {}, \"stream_ms\": {}}}}}\n  }}",
+        swept.reports.len(),
+        wall.as_millis(),
+        stream_wall.as_millis()
     ));
     suite.finish();
     println!();
@@ -1466,7 +1380,7 @@ fn opts_threads() -> usize {
 /// `--warn-only`, 2 on usage/parse errors).
 ///
 /// Every numeric leaf of both documents is flattened to a `/`-joined path
-/// (array elements keyed by their `name`/`order`/`family` field where one
+/// (array elements keyed by their `name`/`family` field where one
 /// exists, so reordering a result list is not a diff) and classified:
 ///
 /// - wall-clock leaves (`*_ns`, `*_ms`) regress above +40% — timing is
@@ -1594,8 +1508,8 @@ fn pct_change(b: f64, c: f64) -> f64 {
 }
 
 /// Flattens every numeric/boolean leaf into `(path, value)` rows. Array
-/// elements carrying a `name`/`order`/`family` discriminator are keyed by
-/// it (bench result lists and ordering tables may legally reorder);
+/// elements carrying a `name`/`family` discriminator are keyed by it
+/// (bench result lists and cost tables may legally reorder);
 /// anonymous elements fall back to their index.
 fn flatten_leaves(v: &hoyan_rt::json::Value, prefix: String, out: &mut Vec<(String, f64)>) {
     use hoyan_rt::json::Value;
@@ -1616,7 +1530,7 @@ fn flatten_leaves(v: &hoyan_rt::json::Value, prefix: String, out: &mut Vec<(Stri
         }
         Value::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
-                let seg = ["name", "order", "family"]
+                let seg = ["name", "family"]
                     .iter()
                     .find_map(|k| item.get(k))
                     .map(|d| match d {

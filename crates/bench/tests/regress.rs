@@ -200,11 +200,9 @@ fn committed_serve_baseline_gates_counters_strictly() {
 }
 
 /// The paper-scale WAN gate, on the committed `BENCH_wan.json` baseline:
-/// the dependency-aware schedule must beat round-robin on both `bdd.ops`
-/// and ITE hit rate, and whole-batch work stealing must have fired when the baseline was generated (two workers). `sched_steals` is
-/// a gauge — thread-count dependent, excluded from `--counters-only` — so
-/// it is pinned here on the committed file, not on the fresh run. The
-/// fresh `experiments wan` run must then reproduce every deterministic
+/// the committed file must describe a paper-scale sweep, and a fresh
+/// `experiments wan` run (which itself asserts that the streamed sweep
+/// matches the materialized one) must reproduce every deterministic
 /// counter exactly.
 #[test]
 fn committed_wan_baseline_gates_counters_strictly() {
@@ -214,27 +212,6 @@ fn committed_wan_baseline_gates_counters_strictly() {
     let families = json_counter(&text, "families");
     assert!(families >= 2000, "paper-scale fixture must carry O(1k) families, has {families}");
     assert!(json_counter(&text, "prefixes") >= 10_000, "paper-scale fixture must carry O(10k) prefixes");
-    let rr_ops = json_counter(&text, "rr_bdd_ops");
-    let deps_ops = json_counter(&text, "deps_bdd_ops");
-    assert!(
-        deps_ops < rr_ops,
-        "deps schedule must cost fewer BDD ops than round-robin ({deps_ops} vs {rr_ops})"
-    );
-    // Hit rates as cross-multiplied integers: hits_d/(hits_d+miss_d) >
-    // hits_r/(hits_r+miss_r) without touching floats.
-    let rr_hits = json_counter(&text, "rr_ite_hits") as u128;
-    let rr_misses = json_counter(&text, "rr_ite_misses") as u128;
-    let deps_hits = json_counter(&text, "deps_ite_hits") as u128;
-    let deps_misses = json_counter(&text, "deps_ite_misses") as u128;
-    assert!(
-        deps_hits * (rr_hits + rr_misses) > rr_hits * (deps_hits + deps_misses),
-        "deps schedule must raise the ITE hit rate over round-robin"
-    );
-    assert!(json_counter(&text, "sched_batches") > 1, "planner must emit multiple batches");
-    assert!(
-        json_counter(&text, "sched_steals") > 0,
-        "whole-batch stealing must have fired in the committed two-worker baseline"
-    );
 
     let dir = std::env::temp_dir().join(format!("hoyan-regress-wan-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

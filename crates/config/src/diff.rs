@@ -218,14 +218,6 @@ pub struct ModifiedDevice {
     pub runs_igp: bool,
 }
 
-/// The set of prefixes `cfg` can originate — `network` statements,
-/// aggregates, and static routes (the key set of the origin
-/// fingerprints). The sweep scheduler uses this to estimate a family's
-/// device footprint before any simulation runs.
-pub fn origin_prefixes(cfg: &DeviceConfig) -> BTreeSet<Ipv4Prefix> {
-    origin_fingerprints(cfg).into_keys().collect()
-}
-
 /// Origin fingerprints of a config: for every prefix the device can
 /// originate, a stable description of *how*. A differing fingerprint means
 /// the seeding of that prefix (or the suppression of its aggregate

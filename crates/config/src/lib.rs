@@ -33,7 +33,7 @@ pub mod parse;
 pub mod update;
 
 pub use diff::{
-    content_hash, declared_peers, origin_fingerprints, origin_prefixes, ConfigSnapshot, DeviceRef,
+    content_hash, declared_peers, origin_fingerprints, ConfigSnapshot, DeviceRef,
     ModifiedDevice, SnapshotDelta,
 };
 pub use ir::{

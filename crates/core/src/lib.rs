@@ -29,7 +29,7 @@ pub mod verify;
 
 pub use fib::{fib_rules_for, is_gateway, FibAction, FibRule};
 pub use isis::{IsisDb, IsisHop};
-pub use network::{link_order, BgpSession, NetworkModel};
+pub use network::{BgpSession, NetworkModel};
 pub use packet::{packet_reach, packet_reach_ecmp, EcmpMode, PacketWalk};
 pub use propagate::{
     AttachedBase, DepTrace, Entry, IdSet, Mode, Proto, PruneStats, RibView, SharedBase, SimError,
@@ -39,11 +39,11 @@ pub use racing::{racing_check, RacingReport};
 pub use serve::{render_reach_response, ServeError, ServeOptions, ServeSummary, Server};
 pub use snapshot::{
     classify_family, CachedFamily, CachedPrefixReport, CompiledNetwork, DirtyReason, FamilyCache,
-    FamilyDeps, OriginIndex,
+    FamilyDeps,
 };
 pub use topology::{Topology, TopologyError};
 pub use verify::{
     EquivalenceReport, FamilyBudget, FamilyCost, FamilyOutcome, PrefixReport, QuarantinedFamily,
     ReachReport, ReverifyOutcome, StreamSummary, StreamedFamily, SweepOptions, SweepReport,
-    SweepSchedule, Verifier, VerifierError,
+    Verifier, VerifierError,
 };

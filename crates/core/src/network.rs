@@ -3,7 +3,6 @@
 
 use hoyan_config::{DeviceConfig, IsisLevel, Vendor};
 use hoyan_device::{BehaviorModel, SessionKind, VsbProfile};
-use hoyan_logic::{BddOrdering, VarOrder};
 use hoyan_nettypes::{LinkId, NodeId};
 
 use crate::topology::{Topology, TopologyError};
@@ -31,9 +30,6 @@ pub struct NetworkModel {
     /// sides declare each other with matching AS numbers, and (for eBGP)
     /// they are directly linked.
     pub sessions: Vec<Vec<BgpSession>>,
-    /// The link-id ↔ BDD-variable bijection every simulation over this
-    /// model must use ([`NetworkModel::link_var`] / [`NetworkModel::var_link`]).
-    pub order: VarOrder,
 }
 
 impl NetworkModel {
@@ -44,21 +40,7 @@ impl NetworkModel {
         configs: Vec<DeviceConfig>,
         profile: impl Fn(Vendor) -> VsbProfile,
     ) -> Result<NetworkModel, TopologyError> {
-        NetworkModel::from_configs_ordered(configs, profile, BddOrdering::Registration)
-    }
-
-    /// [`NetworkModel::from_configs`] with an explicit BDD variable
-    /// ordering. [`BddOrdering::Registration`] keeps the historical
-    /// identity mapping; the topology-aware orders run a deterministic
-    /// DFS/BFS walk ([`Topology::link_visit_order`]) so links sharing
-    /// paths get adjacent variable indices.
-    pub fn from_configs_ordered(
-        configs: Vec<DeviceConfig>,
-        profile: impl Fn(Vendor) -> VsbProfile,
-        ordering: BddOrdering,
-    ) -> Result<NetworkModel, TopologyError> {
         let topology = Topology::from_configs(&configs)?;
-        let order = link_order(&topology, ordering);
         let devices: Vec<BehaviorModel> = configs
             .into_iter()
             .map(|c| {
@@ -113,36 +95,21 @@ impl NetworkModel {
             topology,
             devices,
             sessions,
-            order,
         })
     }
 
-    /// The BDD aliveness variable of `link` under the model's order.
-    #[inline]
-    pub fn link_var(&self, link: LinkId) -> u32 {
-        self.order.var_of(link.0)
-    }
-
     /// Whether `other` feeds IS-IS exactly what `self` does: the same
-    /// graph under the same numbering ([`Topology::same_graph`]), the same
-    /// link → variable order, and per node the same IGP block and router
+    /// graph under the same numbering ([`Topology::same_graph`]) — link
+    /// `l` is BDD variable `l.0` — and per node the same IGP block and router
     /// id (the last tie-break of equal-metric IGP routes). An
     /// [`crate::IsisDb`] reads nothing else of the model, so one built over
     /// `self` serves `other` unchanged — the daemon's carry-forward rule.
     /// `tests/hermetic.rs` fails when a new reader of these inputs appears.
     pub fn same_igp_inputs(&self, other: &NetworkModel) -> bool {
         self.topology.same_graph(&other.topology)
-            && self.order == other.order
             && self.devices.iter().zip(&other.devices).all(|(a, b)| {
                 a.config.isis == b.config.isis && a.config.router_id == b.config.router_id
             })
-    }
-
-    /// The link whose aliveness BDD variable `var` tests — the inverse of
-    /// [`NetworkModel::link_var`], used when rendering witnesses.
-    #[inline]
-    pub fn var_link(&self, var: u32) -> LinkId {
-        LinkId(self.order.link_of(var))
     }
 
     /// The behavior model of a node.
@@ -215,22 +182,6 @@ impl NetworkModel {
         }
         dist
     }
-}
-
-/// Computes the link→variable bijection for `ordering` over `topo`,
-/// bumping the `bdd.order.*` counters when a non-trivial pass runs.
-pub fn link_order(topo: &Topology, ordering: BddOrdering) -> VarOrder {
-    let bfs = match ordering {
-        BddOrdering::Registration => return VarOrder::identity(topo.link_count()),
-        BddOrdering::Dfs => false,
-        BddOrdering::Bfs => true,
-    };
-    hoyan_obs::metric!(counter "bdd.order.passes").inc();
-    hoyan_obs::metric!(counter "bdd.order.links").add(topo.link_count() as u64);
-    // The walk numbers every link exactly once, so this cannot fail; the
-    // identity fallback keeps the function total without a panic path.
-    VarOrder::from_visit_order(&topo.link_visit_order(bfs))
-        .unwrap_or_else(|| VarOrder::identity(topo.link_count()))
 }
 
 #[cfg(test)]
@@ -357,37 +308,5 @@ router isis
         let c = net.topology.node("C").unwrap();
         let d = net.igp_distances(a);
         assert_eq!(d[c.0 as usize], Some(20)); // via B, not the direct 100
-    }
-
-    #[test]
-    fn ordered_model_carries_a_permutation() {
-        let texts = [
-            "hostname A\ninterface e0\n peer B\ninterface e1\n peer C\n",
-            "hostname B\ninterface e0\n peer A\ninterface e1\n peer C\n",
-            "hostname C\ninterface e0\n peer A\ninterface e1\n peer B\n",
-        ];
-        let configs = |()| texts.iter().map(|t| parse_config(t).unwrap()).collect::<Vec<_>>();
-        let reg = NetworkModel::from_configs_ordered(
-            configs(()),
-            VsbProfile::ground_truth,
-            BddOrdering::Registration,
-        )
-        .unwrap();
-        assert!(reg.order.is_identity());
-        for ordering in [BddOrdering::Dfs, BddOrdering::Bfs] {
-            let net = NetworkModel::from_configs_ordered(
-                configs(()),
-                VsbProfile::ground_truth,
-                ordering,
-            )
-            .unwrap();
-            assert_eq!(net.order.len(), net.topology.link_count());
-            for l in net.topology.nodes().flat_map(|n| {
-                net.topology.neighbors(n).iter().map(|&(_, l)| l)
-            }) {
-                // link_var/var_link invert each other on every real link.
-                assert_eq!(net.var_link(net.link_var(l)), l);
-            }
-        }
     }
 }

@@ -79,7 +79,7 @@ impl Walker<'_, '_> {
         let Some(link) = self.net.topology.link_between(from, to) else {
             return Bdd::FALSE; // next hop is not physically adjacent
         };
-        let link_var = self.sim.mgr.var(self.net.link_var(link));
+        let link_var = self.sim.mgr.var(link.0);
         let cond = self.sim.mgr.and(cond, link_var);
         let Some(cond) = self.prune(cond) else {
             return Bdd::FALSE;
@@ -160,7 +160,7 @@ impl Walker<'_, '_> {
         let Some(link) = self.net.topology.link_between(from, to) else {
             return Bdd::FALSE;
         };
-        let link_var = self.sim.mgr.var(self.net.link_var(link));
+        let link_var = self.sim.mgr.var(link.0);
         let cond = self.sim.mgr.and(cond, link_var);
         let Some(cond) = self.prune(cond) else {
             return Bdd::FALSE;

@@ -389,10 +389,10 @@ impl SharedBase {
         let n = net.topology.link_count();
         let mut roots = Vec::with_capacity(2 * n);
         for l in 0..n as u32 {
-            roots.push(mgr.var(net.link_var(LinkId(l))));
+            roots.push(mgr.var(l));
         }
         for l in 0..n as u32 {
-            roots.push(mgr.nvar(net.link_var(LinkId(l))));
+            roots.push(mgr.nvar(l));
         }
         let mut session_keys = Vec::new();
         if let Some(db) = isis {
@@ -1432,7 +1432,7 @@ impl<'n> Simulation<'n> {
                 attrs.isis_weight = attrs
                     .isis_weight
                     .saturating_add(self.net.topology.metric_from(u, link) as u64);
-                let link_var = self.mgr.var(self.net.link_var(link));
+                let link_var = self.mgr.var(link.0);
                 (attrs, Some(u), link_var)
             }
             ChannelKind::Ebgp(ni) | ChannelKind::Ibgp(ni) => {
@@ -1460,7 +1460,7 @@ impl<'n> Simulation<'n> {
                 let attach = match kind {
                     SessionKind::Ebgp => {
                         let link = ch.link.expect("ebgp needs a link");
-                        self.mgr.var(self.net.link_var(link))
+                        self.mgr.var(link.0)
                     }
                     SessionKind::Ibgp => self.session_cond(u, ch.peer),
                 };

@@ -55,20 +55,7 @@ impl CompiledNetwork {
         profile: impl Fn(Vendor) -> VsbProfile,
         isis_k: Option<u32>,
     ) -> Result<CompiledNetwork, VerifierError> {
-        Self::build_ordered(configs, profile, isis_k, hoyan_logic::BddOrdering::Registration)
-    }
-
-    /// [`CompiledNetwork::build`] with an explicit BDD variable ordering.
-    /// The ordering is baked into the model (`net.order`), so the IS-IS
-    /// database built here and every later simulation share one variable
-    /// space — a must, since conditions are imported across their managers.
-    pub fn build_ordered(
-        configs: Vec<DeviceConfig>,
-        profile: impl Fn(Vendor) -> VsbProfile,
-        isis_k: Option<u32>,
-        ordering: hoyan_logic::BddOrdering,
-    ) -> Result<CompiledNetwork, VerifierError> {
-        let net = NetworkModel::from_configs_ordered(configs, profile, ordering)?;
+        let net = NetworkModel::from_configs(configs, profile)?;
         let isis = IsisDb::build(&net, isis_k)?;
         Ok(CompiledNetwork {
             net: Arc::new(net),
@@ -111,73 +98,6 @@ impl FamilyDeps {
             touched_devices: trace.touched_nodes.iter().map(name).collect(),
             touched_links: trace.touched_links.iter().map(link).collect(),
         }
-    }
-}
-
-/// An index from origin prefixes to the devices that can originate them,
-/// built once per sweep from the compiled model's configs.
-///
-/// This is the *pre-simulation* counterpart of [`FamilyDeps`]: a full
-/// footprint only exists after a family has been simulated, but the
-/// scheduler needs locality information up front. Families that share
-/// origin devices propagate along mostly-identical paths and build the
-/// same link conditions, so batching them onto one worker keeps that
-/// worker's ITE cache and arena warm (see `Verifier::sweep_families`).
-pub struct OriginIndex {
-    /// `(prefix, node id)` pairs sorted by network address — descendant
-    /// lookups are a contiguous run in this order.
-    sorted: Vec<(Ipv4Prefix, u32)>,
-    /// Exact-prefix lookups for the ancestor walk.
-    exact: HashMap<Ipv4Prefix, Vec<u32>>,
-}
-
-impl OriginIndex {
-    /// Scans every device's origin surface (networks, aggregates,
-    /// statics) into the index.
-    pub fn build(net: &NetworkModel) -> OriginIndex {
-        let mut sorted = Vec::new();
-        let mut exact: HashMap<Ipv4Prefix, Vec<u32>> = HashMap::new();
-        for (i, dev) in net.devices.iter().enumerate() {
-            for p in hoyan_config::origin_prefixes(&dev.config) {
-                sorted.push((p, i as u32));
-                exact.entry(p).or_default().push(i as u32);
-            }
-        }
-        sorted.sort_unstable_by_key(|(p, i)| (p.network(), p.len(), *i));
-        OriginIndex { sorted, exact }
-    }
-
-    /// Every device that can originate a prefix overlapping the family,
-    /// ascending and deduplicated. Runs in O(family · (32 + matches)):
-    /// ancestors come from at most 33 exact lookups per prefix,
-    /// descendants from one contiguous scan of the sorted pairs.
-    pub fn origin_devices(&self, family: &[Ipv4Prefix]) -> Vec<u32> {
-        let mut out = Vec::new();
-        for &p in family {
-            // Ancestors and the prefix itself.
-            for len in 0..=p.len() {
-                let anc = Ipv4Prefix::new(p.network(), len);
-                if let Some(ids) = self.exact.get(&anc) {
-                    out.extend_from_slice(ids);
-                }
-            }
-            // Strict descendants: network address inside `p`'s range and
-            // a longer mask. Canonical prefixes make the run contiguous.
-            let start = self
-                .sorted
-                .partition_point(|(q, _)| q.network() < p.network());
-            for (q, id) in &self.sorted[start..] {
-                if !p.contains_addr(q.network()) {
-                    break;
-                }
-                if q.len() > p.len() {
-                    out.push(*id);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 }
 
@@ -436,36 +356,6 @@ mod tests {
             touched_devices: touched.iter().map(|s| s.to_string()).collect(),
             touched_links: BTreeSet::new(),
         }
-    }
-
-    #[test]
-    fn origin_index_finds_overlapping_origins() {
-        use hoyan_device::VsbProfile;
-        let texts = [
-            "hostname A\ninterface e0\n peer B\ninterface e1\n peer C\nrouter bgp 100\n network 10.0.0.0/22\n network 10.0.1.0/24\n neighbor B remote-as 200\n",
-            "hostname B\ninterface e0\n peer A\nrouter bgp 200\n network 10.9.0.0/24\n neighbor A remote-as 100\n",
-            "hostname C\ninterface e0\n peer A\nip route 10.0.2.0/24 B preference 5\n",
-        ];
-        let configs: Vec<DeviceConfig> = texts
-            .iter()
-            .map(|t| hoyan_config::parse_config(t).unwrap())
-            .collect();
-        let net = NetworkModel::from_configs(configs, VsbProfile::ground_truth).unwrap();
-        let idx = OriginIndex::build(&net);
-        let a = net.topology.node("A").unwrap().0;
-        let b = net.topology.node("B").unwrap().0;
-        let c = net.topology.node("C").unwrap().0;
-        // The /22 family: A originates it (and a leaf inside it), C's
-        // static is a strict descendant; B's 10.9/24 does not overlap.
-        let fam: Vec<Ipv4Prefix> = vec!["10.0.0.0/22".parse().unwrap()];
-        assert_eq!(idx.origin_devices(&fam), vec![a.min(c), a.max(c)]);
-        // A leaf query also finds the covering aggregate (ancestor walk).
-        let leaf: Vec<Ipv4Prefix> = vec!["10.0.1.0/24".parse().unwrap()];
-        assert_eq!(idx.origin_devices(&leaf), vec![a]);
-        let other: Vec<Ipv4Prefix> = vec!["10.9.0.0/24".parse().unwrap()];
-        assert_eq!(idx.origin_devices(&other), vec![b]);
-        let none: Vec<Ipv4Prefix> = vec!["172.16.0.0/16".parse().unwrap()];
-        assert!(idx.origin_devices(&none).is_empty());
     }
 
     fn cfgs(texts: &[&str]) -> Vec<DeviceConfig> {

@@ -158,76 +158,6 @@ impl Topology {
         &self.adjacency[n.0 as usize]
     }
 
-    /// Link ids in the order a deterministic graph walk first encounters
-    /// them — the substrate of the topology-aware BDD variable orderings.
-    /// The walk starts at node 0, scans each visited node's adjacency in
-    /// link-registration order, numbers every not-yet-numbered incident
-    /// link, and continues depth-first (`bfs = false`) or breadth-first
-    /// (`bfs = true`); remaining components are walked in node-id order.
-    /// The result is a permutation of `0..link_count()`: links touching
-    /// the same node (and, transitively, the same paths) get adjacent
-    /// positions, which is what keeps path-condition BDDs narrow.
-    pub fn link_visit_order(&self, bfs: bool) -> Vec<u32> {
-        let mut seen = vec![false; self.node_count()];
-        let mut numbered = vec![false; self.link_count()];
-        let mut order = Vec::with_capacity(self.link_count());
-        for start in 0..self.node_count() {
-            if seen[start] {
-                continue;
-            }
-            seen[start] = true;
-            if bfs {
-                // BFS numbers a node's whole star before moving outward:
-                // links at the same distance from the start share a band.
-                let mut frontier = std::collections::VecDeque::from([NodeId(start as u32)]);
-                while let Some(u) = frontier.pop_front() {
-                    for &(v, link) in self.neighbors(u) {
-                        if !numbered[link.0 as usize] {
-                            numbered[link.0 as usize] = true;
-                            order.push(link.0);
-                        }
-                        if !seen[v.0 as usize] {
-                            seen[v.0 as usize] = true;
-                            frontier.push_back(v);
-                        }
-                    }
-                }
-            } else {
-                // DFS numbers each link the moment the descent first
-                // crosses it, so the links of a root-to-leaf path occupy
-                // *consecutive* positions — the layout path-shaped
-                // reachability conjunctions want.
-                let mut stack: Vec<(NodeId, usize)> = vec![(NodeId(start as u32), 0)];
-                while let Some(top) = stack.last_mut() {
-                    let (u, i) = *top;
-                    let nbrs = self.neighbors(u);
-                    if i >= nbrs.len() {
-                        stack.pop();
-                        continue;
-                    }
-                    top.1 += 1;
-                    let (v, link) = nbrs[i];
-                    if !numbered[link.0 as usize] {
-                        numbered[link.0 as usize] = true;
-                        order.push(link.0);
-                    }
-                    if !seen[v.0 as usize] {
-                        seen[v.0 as usize] = true;
-                        stack.push((v, 0));
-                    }
-                }
-            }
-        }
-        // Every link is incident to a visited node, so the walk numbers
-        // them all; keep the loop as a structural guarantee regardless.
-        for l in 0..self.link_count() {
-            if !numbered[l] {
-                order.push(l as u32);
-            }
-        }
-        order
-    }
-
     /// The IS-IS metric of the link as configured on `from`'s side.
     pub fn metric_from(&self, from: NodeId, link: LinkId) -> u32 {
         let (a, _b) = self.links[link.0 as usize];
@@ -325,40 +255,6 @@ mod tests {
             Topology::from_configs(&cfgs),
             Err(TopologyError::AsymmetricLink { .. })
         ));
-    }
-
-    #[test]
-    fn link_visit_orders_are_permutations() {
-        let t = Topology::from_configs(&triangle()).unwrap();
-        for bfs in [false, true] {
-            let order = t.link_visit_order(bfs);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(
-                sorted,
-                (0..t.link_count() as u32).collect::<Vec<_>>(),
-                "walk (bfs={bfs}) must number every link exactly once"
-            );
-            // Determinism: the same walk twice yields the same order.
-            assert_eq!(order, t.link_visit_order(bfs));
-        }
-    }
-
-    #[test]
-    fn dfs_and_bfs_walks_differ_on_a_path_plus_chord() {
-        // A path A-B-C-D with chord A-D: DFS from A runs down the path
-        // before numbering the chord's far encounters differently than BFS,
-        // which numbers all of A's incident links first.
-        let cfgs = vec![
-            cfg("hostname A\ninterface e0\n peer B\ninterface e1\n peer D\n"),
-            cfg("hostname B\ninterface e0\n peer A\ninterface e1\n peer C\n"),
-            cfg("hostname C\ninterface e0\n peer B\ninterface e1\n peer D\n"),
-            cfg("hostname D\ninterface e0\n peer C\ninterface e1\n peer A\n"),
-        ];
-        let t = Topology::from_configs(&cfgs).unwrap();
-        let dfs = t.link_visit_order(false);
-        let bfs = t.link_visit_order(true);
-        assert_ne!(dfs, bfs, "the two walks must explore differently here");
     }
 
     #[test]

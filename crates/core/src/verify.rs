@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use hoyan_config::{DeviceConfig, SnapshotDelta, Vendor};
 use hoyan_device::{Packet, VsbProfile};
-use hoyan_nettypes::{Ipv4Prefix, NodeId};
+use hoyan_nettypes::{Ipv4Prefix, LinkId, NodeId};
 
 use crate::isis::IsisDb;
 use crate::network::NetworkModel;
@@ -279,31 +279,6 @@ impl FamilyBudget {
     }
 }
 
-/// How [`Verifier::sweep_families`] hands families to workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SweepSchedule {
-    /// A bare atomic claim counter: the next free worker takes the next
-    /// behaviour class (in representative order), and the arena is
-    /// recycled between classes. The historical behavior and the default.
-    #[default]
-    RoundRobin,
-    /// Dependency-aware batching: classes whose pre-simulation origin
-    /// footprints ([`crate::snapshot::OriginIndex`]) overlap are grouped
-    /// into batches run back-to-back on one arena *without* recycling —
-    /// consecutive representatives re-hit the ITE cache and unique table
-    /// they share. Batches are planned deterministically up front and stolen
-    /// whole between per-worker deques, so reports and counters stay
-    /// identical to `RoundRobin` at any thread count; only the work (and
-    /// the `bdd.ops` / `bdd.ite_cache_*` bill) shrinks.
-    Deps,
-}
-
-/// Maximum classes per [`SweepSchedule::Deps`] batch. Bounds how much
-/// warm-arena state a chain accumulates (under warm chaining the node
-/// budget sees predecessors' still-live nodes until a GC) and keeps
-/// enough batches in flight to spread across workers.
-const DEPS_BATCH_MAX: usize = 16;
-
 /// One unit of a streaming sweep's output, handed to the caller's sink as
 /// soon as it exists instead of being accumulated in memory — the point of
 /// [`Verifier::verify_all_routes_streaming`]: peak report memory is
@@ -348,8 +323,6 @@ pub struct SweepOptions {
     pub fail_fast: bool,
     /// Per-family resource caps.
     pub budget: FamilyBudget,
-    /// How families are scheduled onto workers.
-    pub schedule: SweepSchedule,
 }
 
 /// How one family failed inside the sweep, before it is folded into a
@@ -371,37 +344,6 @@ impl FamilyFailure {
             FamilyFailure::Panic(p) => FamilyFailure::Panic(Box::new(panic_message(p.as_ref()))),
         }
     }
-}
-
-/// Pops the next batch id for worker `w`: the front of its own deque
-/// first, then — work stealing — a *whole* batch off the back of the
-/// nearest busy peer in a fixed scan order. Batches are never split, so a
-/// stolen batch's warm chain replays exactly as it would have at home.
-fn claim_batch(
-    w: usize,
-    deques: &[std::sync::Mutex<std::collections::VecDeque<usize>>],
-    steals: &mut u64,
-) -> Option<usize> {
-    if let Some(b) = deques[w]
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .pop_front()
-    {
-        return Some(b);
-    }
-    let n = deques.len();
-    for off in 1..n {
-        let victim = (w + off) % n;
-        if let Some(b) = deques[victim]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop_back()
-        {
-            *steals += 1;
-            return Some(b);
-        }
-    }
-    None
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -448,20 +390,6 @@ impl Verifier {
     ) -> Result<Verifier, VerifierError> {
         Ok(Verifier::from_compiled(CompiledNetwork::build(
             configs, profile, isis_k,
-        )?))
-    }
-
-    /// [`Verifier::new`] with an explicit BDD variable ordering — the
-    /// engine behind `sweep --bdd-order`. Ordering changes node counts and
-    /// `bdd.*` counters, never verdicts (see `tests/determinism.rs`).
-    pub fn new_ordered(
-        configs: Vec<DeviceConfig>,
-        profile: impl Fn(Vendor) -> VsbProfile,
-        isis_k: Option<u32>,
-        ordering: hoyan_logic::BddOrdering,
-    ) -> Result<Verifier, VerifierError> {
-        Ok(Verifier::from_compiled(CompiledNetwork::build_ordered(
-            configs, profile, isis_k, ordering,
         )?))
     }
 
@@ -591,11 +519,11 @@ impl Verifier {
         let v = sim.reach_cond(node, prefix);
         let reachable_now = sim.mgr.eval(v, &[]);
         let min_failures = sim.mgr.min_failures_to_falsify(v);
-        // The falsifying set is over BDD *variables*; witnesses name links.
+        // The falsifying set is over BDD variables; variable `l` is link `l`.
         let witness = sim.mgr.min_falsifying_failures(v).map(|vars| {
             vars.iter()
                 .map(|l| {
-                    let (a, b) = self.net.topology.link_ends(self.net.var_link(*l));
+                    let (a, b) = self.net.topology.link_ends(LinkId(*l));
                     format!(
                         "{}-{}",
                         self.net.topology.name(a),
@@ -653,7 +581,7 @@ impl Verifier {
         let witness = sim.mgr.min_falsifying_failures(v).map(|vars| {
             vars.iter()
                 .map(|l| {
-                    let (a, b) = self.net.topology.link_ends(self.net.var_link(*l));
+                    let (a, b) = self.net.topology.link_ends(LinkId(*l));
                     format!(
                         "{}-{}",
                         self.net.topology.name(a),
@@ -773,8 +701,7 @@ impl Verifier {
             // report them (common-mode risk the §7.2 audit cares about).
             let mut assign = vec![true; self.net.topology.link_count()];
             for (_, link) in self.net.topology.neighbors(r) {
-                // Assignments index BDD variables, not link ids.
-                assign[self.net.link_var(*link) as usize] = false;
+                assign[link.0 as usize] = false;
             }
             if !sim.mgr.eval(v, &assign) {
                 fatal.push(self.net.topology.name(r).to_string());
@@ -932,11 +859,10 @@ impl Verifier {
     /// with the representative's error) and the rest of the sweep
     /// completes. With [`SweepOptions::fail_fast`] the sweep instead aborts
     /// like the pre-quarantine implementation, surfacing the
-    /// *lowest-index* failing family at any thread count and under either
-    /// schedule: once a failure is recorded, workers skip every class whose
-    /// representative sorts above the lowest failure so far but keep
-    /// running the ones below it, so every lower index is decided before
-    /// the workers drain. A member cannot fail below its own
+    /// *lowest-index* failing family at any thread count: once a failure
+    /// is recorded, workers skip every class whose representative sorts
+    /// above the lowest failure so far but keep running the ones below it,
+    /// so every lower index is decided before the workers drain. A member cannot fail below its own
     /// representative, so the lowest failure is always a representative.
     ///
     /// Determinism: a family's reports are pushed atomically (all or
@@ -979,68 +905,6 @@ impl Verifier {
         classes
     }
 
-    /// Plans the [`SweepSchedule::Deps`] batches over `classes`: classes
-    /// whose representatives share an origin device (per
-    /// [`crate::snapshot::OriginIndex`] — the pre-simulation footprint, so
-    /// no simulation is needed to plan) are unioned into clusters, and each
-    /// cluster is split into runs of at most [`DEPS_BATCH_MAX`] classes. A
-    /// batch is the unit of both warmth and stealing: it always executes
-    /// front-to-back on one arena, so its ITE-cache reuse is identical
-    /// wherever it lands. Batches list class indices in ascending order.
-    /// The plan is computed on the calling thread from the family list and
-    /// the configs alone — thread-count invariant, like every counter
-    /// derived from it.
-    fn plan_batches(
-        &self,
-        families: &[Vec<Ipv4Prefix>],
-        classes: &[Vec<usize>],
-    ) -> Vec<Vec<usize>> {
-        let origins = crate::snapshot::OriginIndex::build(&self.net);
-        // Union-find over class indices keyed by shared origin device.
-        // Unions always point the larger root at the smaller, so a
-        // cluster's root is its first class and the BTreeMap below walks
-        // clusters in first-class order.
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]];
-                i = parent[i];
-            }
-            i
-        }
-        let mut parent: Vec<usize> = (0..classes.len()).collect();
-        let mut owner: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for (c, class) in classes.iter().enumerate() {
-            for dev in origins.origin_devices(&families[class[0]]) {
-                match owner.entry(dev) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let a = find(&mut parent, *e.get());
-                        let b = find(&mut parent, c);
-                        if a != b {
-                            parent[a.max(b)] = a.min(b);
-                        }
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(c);
-                    }
-                }
-            }
-        }
-        let mut clusters: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for c in 0..classes.len() {
-            clusters
-                .entry(find(&mut parent, c))
-                .or_default()
-                .push(c);
-        }
-        let mut batches = Vec::new();
-        for members in clusters.into_values() {
-            for chunk in members.chunks(DEPS_BATCH_MAX) {
-                batches.push(chunk.to_vec());
-            }
-        }
-        batches
-    }
-
     /// [`Verifier::sweep_families`] with an optional streaming sink: when
     /// `sink` is set, each completed family's reports are sent through a
     /// bounded channel as the worker finishes them (backpressure bounds
@@ -1059,7 +923,7 @@ impl Verifier {
         units: Option<&[usize]>,
         mut sink: Option<&mut dyn FnMut(StreamedFamily) -> ControlFlow<()>>,
     ) -> Result<SweepOutcome, SimError> {
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let _sweep = hoyan_obs::span("verify.sweep");
         // Fan-out occupancy: thread-count-dependent by nature, so a gauge
         // (the determinism contract covers counters/histograms only).
@@ -1092,39 +956,14 @@ impl Verifier {
         // calling thread, so the value is thread-count invariant.
         hoyan_obs::metric!(counter "verify.shared_base_ops").add(base.construction_ops());
         let nw = threads.max(1);
-        // The behaviour classes and, under deps, their batch plan (None =
-        // round-robin claim counter). Planned on the calling thread, so
-        // the class and batch counts — counters, covered by the
-        // determinism contract — never depend on `nw`.
-        let (classes, plan) = {
+        // The behaviour classes, planned on the calling thread, so the
+        // class count — a counter, covered by the determinism contract —
+        // never depends on `nw`.
+        let classes = {
             let _sp = hoyan_obs::span("verify.schedule");
-            let classes = self.plan_classes(families);
-            let plan = match opts.schedule {
-                SweepSchedule::RoundRobin => None,
-                SweepSchedule::Deps => Some(self.plan_batches(families, &classes)),
-            };
-            (classes, plan)
+            self.plan_classes(families)
         };
         hoyan_obs::metric!(counter "verify.classes").add(classes.len() as u64);
-        if let Some(batches) = &plan {
-            hoyan_obs::metric!(counter "verify.sched_batches").add(batches.len() as u64);
-        }
-        // Per-worker batch deques: batch `b` homes on worker `b % nw`; an
-        // idle worker steals a *whole* batch from the back of the nearest
-        // busy peer. How batches land on workers is timing-dependent, but
-        // a batch's contents and order are not — so only the steal tally
-        // (a gauge) varies with scheduling, never a counter.
-        let deques: Vec<std::sync::Mutex<std::collections::VecDeque<usize>>> =
-            (0..nw).map(|_| Default::default()).collect();
-        if let Some(batches) = &plan {
-            for b in 0..batches.len() {
-                deques[b % nw]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push_back(b);
-            }
-        }
-        let steals = AtomicU64::new(0);
         let hung_up = AtomicBool::new(false);
         std::thread::scope(|s| {
             // Streaming channel: bounded at two families per worker, so a
@@ -1147,9 +986,6 @@ impl Verifier {
             let worker_seq = &worker_seq;
             let base = &base;
             let classes = &classes;
-            let plan = &plan;
-            let deques = &deques;
-            let steals = &steals;
             let unit_of = &unit_of;
             // Under fail-fast, a class whose representative sorts above
             // the lowest failure so far cannot change the surfaced error;
@@ -1160,7 +996,7 @@ impl Verifier {
                     || hung_up.load(Ordering::Acquire)
             };
             let handles: Vec<_> = (0..nw)
-                .map(|w| {
+                .map(|_| {
                     let tx = tx.clone();
                     s.spawn(move || {
                         hoyan_obs::set_worker(
@@ -1175,69 +1011,21 @@ impl Verifier {
                         // excluded) and survives every recycle.
                         let mut arena = BddManager::new();
                         let mut attached = base.attach(&mut arena);
-                        // Deps-schedule worker state: the batch being
-                        // drained, the cursor into it, and whether the
-                        // warm chain from the previous class is intact.
-                        let mut batch: &[usize] = &[];
-                        let mut pos = 0usize;
-                        let mut chain_warm = false;
-                        let mut local_steals = 0u64;
                         loop {
-                            // Claim the next class and decide the arena
-                            // temperature it starts at.
-                            let (c, warm) = match plan {
-                                // Round-robin: the bare claim counter;
-                                // every class starts cold. Claims ascend,
-                                // so the first moot one ends the worker.
-                                None => {
-                                    let c = next.fetch_add(1, Ordering::Relaxed);
-                                    if c >= classes.len() || moot(classes[c][0]) {
-                                        break;
-                                    }
-                                    (c, false)
-                                }
-                                // Deps: drain the current batch front to
-                                // back (warm after its first class), then
-                                // pop the next home batch or steal one.
-                                Some(batches) => {
-                                    if pos >= batch.len() {
-                                        let Some(b) =
-                                            claim_batch(w, deques, &mut local_steals)
-                                        else {
-                                            break;
-                                        };
-                                        batch = &batches[b];
-                                        pos = 0;
-                                        chain_warm = false;
-                                    }
-                                    let c = batch[pos];
-                                    pos += 1;
-                                    if moot(classes[c][0]) {
-                                        // The rest of the batch sorts
-                                        // higher still.
-                                        pos = batch.len();
-                                        continue;
-                                    }
-                                    let warm = chain_warm;
-                                    chain_warm = true;
-                                    (c, warm)
-                                }
-                            };
+                            // Claim the next class off the shared counter.
+                            // Claims ascend, so the first moot one ends
+                            // the worker.
+                            let c = next.fetch_add(1, Ordering::Relaxed);
+                            if c >= classes.len() || moot(classes[c][0]) {
+                                break;
+                            }
                             let class = &classes[c];
                             let i = class[0];
-                            // Arena prep happens at claim time. Cold:
-                            // recycle — flushes the previous segment's
-                            // tallies (a no-op on a pristine arena) and
-                            // drops everything above the shared base.
-                            // Warm: keep nodes and caches, flush tallies
-                            // and restart the per-family accounting, so
-                            // each class still bills exactly its own
-                            // delta (`BddManager::next_family_warm`).
-                            if warm {
-                                arena.next_family_warm();
-                            } else {
-                                arena.recycle();
-                            }
+                            // Arena prep happens at claim time: recycle
+                            // flushes the previous class's tallies (a
+                            // no-op on a pristine arena) and drops
+                            // everything above the shared base.
+                            arena.recycle();
                             let _fam_span = hoyan_obs::span("verify.family");
                             hoyan_obs::begin_unit(unit_of(i));
                             hoyan_obs::record(hoyan_obs::EventKind::FamilyStart);
@@ -1259,10 +1047,9 @@ impl Verifier {
                                     });
                                     // The class's tallies stay on the
                                     // arena until the next claim recycles
-                                    // or warm-chains it (or Drop flushes at
-                                    // sweep end) — each segment folds into
-                                    // the global counters exactly once
-                                    // either way.
+                                    // it (or Drop flushes at sweep end) —
+                                    // each class folds into the global
+                                    // counters exactly once either way.
                                     arena = mgr;
                                     // Under fail-fast, partial output must
                                     // not be published past a failure
@@ -1307,26 +1094,22 @@ impl Verifier {
                                     // (via `into_manager`) with this
                                     // class's tallies still on it: read
                                     // the partial cost now; the next
-                                    // claim's recycle flushes it. A warm
-                                    // chain never survives a failure.
+                                    // claim's recycle flushes it.
                                     let cost = FamilyCost::from_manager(&mgr, 0);
                                     hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
                                         ops: cost.ops,
                                         peak_nodes: cost.peak_family_nodes,
                                     });
                                     arena = mgr;
-                                    chain_warm = false;
                                     FamilyFailure::Error(e, cost)
                                 }
                                 Err(payload) => {
                                     // The arena unwound with the failed
                                     // simulation; this worker restarts cold
                                     // — which means re-importing the base
-                                    // (the old handles died with the arena)
-                                    // — and the warm chain breaks.
+                                    // (the old handles died with the arena).
                                     arena = BddManager::new();
                                     attached = base.attach(&mut arena);
-                                    chain_warm = false;
                                     FamilyFailure::Panic(payload)
                                 }
                             };
@@ -1340,7 +1123,6 @@ impl Verifier {
                             }
                             min_failed.fetch_min(i, Ordering::AcqRel);
                         }
-                        steals.fetch_add(local_steals, Ordering::Relaxed);
                         // Merge this worker's event buffer into the global
                         // log before the thread exits.
                         hoyan_obs::flush_thread_events();
@@ -1427,13 +1209,6 @@ impl Verifier {
         // long as no wall-clock deadline is configured — see the docs).
         hoyan_obs::metric!(counter "verify.families_quarantined").add(quarantined.len() as u64);
         hoyan_obs::metric!(counter "verify.families_over_budget").add(over_budget);
-        // How many batches moved between workers: timing-dependent by
-        // nature (whichever worker idles first steals), hence a gauge —
-        // the counter contract stays thread-count invariant.
-        if plan.is_some() {
-            hoyan_obs::metric!(gauge "verify.sched_steals")
-                .record_max(steals.load(std::sync::atomic::Ordering::Relaxed));
-        }
         // Quarantine verdicts reach a streaming sink post-join too, in
         // index order, mirroring their deterministic fold above.
         if let Some(sink) = sink.as_mut().filter(|_| !hung_up.load(Ordering::Acquire)) {

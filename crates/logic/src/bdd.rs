@@ -425,27 +425,6 @@ impl BddManager {
         self.peak_live = self.base_len;
     }
 
-    /// Closes the current accounting segment *without* dropping any nodes
-    /// or caches — the warm-chaining counterpart of [`Self::recycle`].
-    /// Tallies are flushed (so the next [`Self::tallies`] window starts at
-    /// zero, exactly as after a recycle), the budget is re-armed, and the
-    /// live-node peak restarts from the nodes currently resident.
-    ///
-    /// Soundness: nothing is freed outside [`Self::gc`], so every
-    /// outstanding handle — including entries in the retained unique and
-    /// ITE caches — stays valid; and `gc` itself drops the ITE cache and
-    /// rebuilds the unique table from marked nodes, so a mid-family GC in
-    /// the *next* segment cannot resurrect stale entries. The trade-off is
-    /// that [`Self::family_node_count`] (and therefore the node budget)
-    /// now also counts the previous families' still-live nodes until a GC
-    /// runs — callers chain warm segments only across families scheduled
-    /// together precisely because they share most of those nodes.
-    pub fn next_family_warm(&mut self) {
-        self.flush_tallies();
-        self.budget = BddBudget::default();
-        self.peak_live = self.live_node_count();
-    }
-
     /// Bulk-imports `roots` (and everything below them) from `src` into
     /// this manager's permanent *base segment*, returning the translated
     /// handles in `roots` order. Must be called on a fresh or freshly-
@@ -1606,37 +1585,6 @@ mod tests {
         let created = m.nodes_created;
         let _ = m.var(2);
         assert_eq!(m.nodes_created, created, "base vars are pre-interned");
-    }
-
-    #[test]
-    fn next_family_warm_keeps_caches_and_restarts_accounting() {
-        // The dep-aware scheduler chains families on one arena without
-        // recycling: handles and the op cache survive, but the tally
-        // window and budget restart so per-family costs stay comparable.
-        let mut src = BddManager::new();
-        let vars: Vec<Bdd> = (0..4).map(|v| src.var(v)).collect();
-        let mut m = BddManager::new();
-        let base = m.import_base(&src, &vars);
-        let f1 = m.and(base[0], base[1]);
-        let nodes_before = m.node_count();
-        assert!(m.ops > 0);
-        m.next_family_warm();
-        assert_eq!(m.ops, 0, "tally window restarts");
-        assert_eq!(m.ite_cache_hits, 0);
-        assert_eq!(m.node_count(), nodes_before, "no nodes dropped");
-        // The same ITE in the next segment is a pure cache hit: zero
-        // misses, zero allocations — the whole point of warm chaining.
-        let f2 = m.and(base[0], base[1]);
-        assert_eq!(f2, f1, "handles stay valid across warm segments");
-        assert_eq!(m.ite_cache_hits, 1);
-        assert_eq!(m.ite_cache_misses, 0);
-        assert_eq!(m.nodes_created, 0);
-        // Peak restarts from the resident nodes, not from zero and not
-        // from the previous segment's peak.
-        assert_eq!(m.tallies().peak_live, m.live_node_count());
-        // A GC in the new segment still purges the retained caches safely.
-        m.gc([f2]);
-        assert_eq!(m.and(base[0], base[1]), f2);
     }
 
     #[test]

@@ -21,17 +21,13 @@
 //!   the Minesweeper-style monolithic baseline.
 //! - [`formula`]: a small formula AST with a brute-force evaluator, bridging
 //!   the two engines and serving as the test oracle.
-//! - [`order`]: the static variable-ordering pass ([`BddOrdering`],
-//!   [`VarOrder`]) that maps topology link ids to BDD variable indices.
 
 pub mod bdd;
 pub mod cnf;
 pub mod formula;
-pub mod order;
 pub mod sat;
 
 pub use bdd::{Bdd, BddBudget, BddManager, BddTallies, BudgetBreach};
 pub use cnf::{Cnf, Lit, Var};
 pub use formula::Formula;
-pub use order::{BddOrdering, VarOrder};
 pub use sat::{SatResult, Solver};

@@ -1,5 +1,5 @@
 //! Exhaustive small-universe differential harness: BDD vs SAT vs truth
-//! table, under every [`BddOrdering`].
+//! table, under several variable permutations.
 //!
 //! The universe is small enough to enumerate *completely*: for `n ≤ 3`
 //! variables every one of the `2^2^n` truth tables is checked, and for
@@ -8,30 +8,43 @@
 //! cost and no extra coverage, since the n ≤ 3 pass already exercises the
 //! solver on every function shape).
 //!
-//! Variable orderings: the DFS/BFS graph walks live in `hoyan-core` (they
-//! need a topology), so this harness drives the same [`VarOrder`]
-//! machinery with *representative* permutations — identity for
-//! `Registration`, the reversal for `Dfs`, an evens-then-odds interleave
-//! for `Bfs`. What the kernel sees is exactly what a topology walk
-//! produces: an arbitrary bijection between logical variables and BDD
-//! branch indices. The invariant proven here is the one the verifier
-//! relies on: *any* permutation preserves Boolean semantics, satisfiability
-//! and the failure-cost metrics; only node counts may change.
+//! Variable permutations: each table is built with logical variable `v`
+//! branching on BDD index `perm[v]`, for three representative bijections —
+//! the identity, the reversal, and an evens-then-odds interleave. The
+//! invariant proven here is a kernel one: *any* permutation preserves
+//! Boolean semantics, satisfiability and the failure-cost metrics; only
+//! node counts may change.
 
-use hoyan_logic::{Bdd, BddManager, BddOrdering, Cnf, Formula, Solver, VarOrder};
+use hoyan_logic::{Bdd, BddManager, Cnf, Formula, Solver};
 use hoyan_rt::prop;
 
-/// A representative permutation per ordering strategy over `n` variables.
-fn perm_for(o: BddOrdering, n: u32) -> VarOrder {
-    let visit: Vec<u32> = match o {
-        BddOrdering::Registration => (0..n).collect(),
-        BddOrdering::Dfs => (0..n).rev().collect(),
-        BddOrdering::Bfs => (0..n)
-            .filter(|v| v % 2 == 0)
-            .chain((0..n).filter(|v| v % 2 == 1))
-            .collect(),
+/// `perm[v]` is the BDD variable index logical variable `v` branches on.
+type Perm = Vec<u32>;
+
+/// The named permutations every test runs under, over `n` variables. The
+/// identity comes first.
+fn perms(n: u32) -> [(&'static str, Perm); 3] {
+    // `visit[i]` is the logical variable placed at index `i`; invert it.
+    let from_visit = |visit: Vec<u32>| {
+        let mut perm = vec![0; n as usize];
+        for (i, v) in visit.into_iter().enumerate() {
+            perm[v as usize] = i as u32;
+        }
+        perm
     };
-    VarOrder::from_visit_order(&visit).expect("visit sequences above are permutations")
+    [
+        ("identity", (0..n).collect()),
+        ("reversed", from_visit((0..n).rev().collect())),
+        (
+            "interleaved",
+            from_visit(
+                (0..n)
+                    .filter(|v| v % 2 == 0)
+                    .chain((0..n).filter(|v| v % 2 == 1))
+                    .collect(),
+            ),
+        ),
+    ]
 }
 
 /// Truth tables are bitmasks: bit `a` of `t` is the function's value on
@@ -50,7 +63,7 @@ fn full_mask(n: u32) -> u32 {
 
 /// Builds the BDD of table `t` as a DNF of minterms, branching on the
 /// *permuted* variable indices.
-fn bdd_of_table(m: &mut BddManager, t: u32, n: u32, ord: &VarOrder) -> Bdd {
+fn bdd_of_table(m: &mut BddManager, t: u32, n: u32, ord: &[u32]) -> Bdd {
     let mut acc = Bdd::FALSE;
     for a in 0..1u32 << n {
         if !table_bit(t, a) {
@@ -58,7 +71,7 @@ fn bdd_of_table(m: &mut BddManager, t: u32, n: u32, ord: &VarOrder) -> Bdd {
         }
         let mut term = Bdd::TRUE;
         for v in 0..n {
-            let idx = ord.var_of(v);
+            let idx = ord[v as usize];
             let lit = if a >> v & 1 == 1 {
                 m.var(idx)
             } else {
@@ -73,11 +86,11 @@ fn bdd_of_table(m: &mut BddManager, t: u32, n: u32, ord: &VarOrder) -> Bdd {
 
 /// Checks the BDD against the table on every assignment, evaluating at the
 /// permuted indices.
-fn assert_bdd_matches_table(m: &BddManager, b: Bdd, t: u32, n: u32, ord: &VarOrder, ctx: &str) {
+fn assert_bdd_matches_table(m: &BddManager, b: Bdd, t: u32, n: u32, ord: &[u32], ctx: &str) {
     for a in 0..1u32 << n {
         let mut assign = vec![false; n as usize];
         for v in 0..n {
-            assign[ord.var_of(v) as usize] = a >> v & 1 == 1;
+            assign[ord[v as usize] as usize] = a >> v & 1 == 1;
         }
         assert_eq!(
             m.eval(b, &assign),
@@ -120,10 +133,10 @@ fn sat_of(f: &Formula) -> bool {
 
 /// Renames the formula's variables through the permutation, mirroring what
 /// `bdd_of_table` does on the BDD side.
-fn permute_formula(f: &Formula, ord: &VarOrder) -> Formula {
+fn permute_formula(f: &Formula, ord: &[u32]) -> Formula {
     match f {
         Formula::Const(c) => Formula::Const(*c),
-        Formula::Var(v) => Formula::Var(ord.var_of(*v)),
+        Formula::Var(v) => Formula::Var(ord[*v as usize]),
         Formula::Not(inner) => Formula::not(permute_formula(inner, ord)),
         Formula::And(fs) => Formula::And(fs.iter().map(|x| permute_formula(x, ord)).collect()),
         Formula::Or(fs) => Formula::Or(fs.iter().map(|x| permute_formula(x, ord)).collect()),
@@ -136,7 +149,7 @@ fn permute_formula(f: &Formula, ord: &VarOrder) -> Formula {
     }
 }
 
-/// Every truth table over up to 3 variables, under every ordering: the
+/// Every truth table over up to 3 variables, under every permutation: the
 /// BDD built from minterms agrees with the table pointwise, is canonical
 /// (constant tables hit the terminals, and `Formula::to_bdd` of the
 /// permuted formula lands on the *same handle*), and the SAT solver's
@@ -145,8 +158,7 @@ fn permute_formula(f: &Formula, ord: &VarOrder) -> Formula {
 fn exhaustive_tables_small_universe_all_orderings() {
     for n in 0..=3u32 {
         let mask = full_mask(n);
-        for ordering in BddOrdering::ALL {
-            let ord = perm_for(ordering, n);
+        for (ordering, ord) in perms(n) {
             let mut m = BddManager::new();
             for t in 0..=mask {
                 let ctx = format!("n={n} ordering={ordering} t={t:#x}");
@@ -174,7 +186,7 @@ fn exhaustive_tables_small_universe_all_orderings() {
 }
 
 /// Every binary (and the unary) Boolean operation, over every pair of
-/// 2-variable functions, under every ordering: the BDD op result is
+/// 2-variable functions, under every permutation: the BDD op result is
 /// node-identical to the BDD of the oracle table, and the SAT solver
 /// proves the formula-level op equivalent to the oracle (its negated
 /// biconditional is unsatisfiable).
@@ -196,8 +208,7 @@ fn every_op_agrees_across_engines_exhaustively() {
             Formula::and(a, Formula::not(b))
         }),
     ];
-    for ordering in BddOrdering::ALL {
-        let ord = perm_for(ordering, n);
+    for (ordering, ord) in perms(n) {
         let mut m = BddManager::new();
         for ta in 0..=mask {
             for tb in 0..=mask {
@@ -219,8 +230,8 @@ fn every_op_agrees_across_engines_exhaustively() {
                     assert_eq!(c, oracle, "{ctx}: op result not canonical");
                     // SAT cross-check once per (pair, op) — the formula
                     // side is ordering-blind, so only do it on the first
-                    // ordering to keep the solve count at 1,792.
-                    if ordering == BddOrdering::Registration {
+                    // permutation to keep the solve count at 1,792.
+                    if ordering == "identity" {
                         let f_op =
                             fop(formula_of_table(ta, n), formula_of_table(tb, n));
                         let f_oracle = formula_of_table(tc, n);
@@ -240,15 +251,15 @@ fn every_op_agrees_across_engines_exhaustively() {
 }
 
 /// All 65,536 truth tables over 4 variables: BDD vs truth table under
-/// every ordering, with the failure-cost walks pinned order-invariant
+/// every permutation, with the failure-cost walks pinned order-invariant
 /// (they are functions of the Boolean function, not of its node layout).
 #[test]
 fn n4_exhaustive_bdd_vs_truth_table_and_cost_invariance() {
     let n = 4u32;
     let mask = full_mask(n);
-    let mut managers: Vec<(VarOrder, BddManager)> = BddOrdering::ALL
-        .iter()
-        .map(|&o| (perm_for(o, n), BddManager::new()))
+    let mut managers: Vec<(Perm, BddManager)> = perms(n)
+        .into_iter()
+        .map(|(_, p)| (p, BddManager::new()))
         .collect();
     for t in 0..=mask {
         let mut costs: Vec<(u32, u32)> = Vec::with_capacity(3);

@@ -17,8 +17,8 @@
 //! 3. **Scratch and memo reuse** — the failure-cost memos are dense arrays
 //!    indexed by arena slot and `size` stamps a per-thread visit array, so
 //!    both are checked where stale state would show: a slot freed by `gc`
-//!    and reused for another function, a base segment across `recycle` and
-//!    `next_family_warm`, two managers interleaved on one thread.
+//!    and reused for another function, a base segment across `recycle`,
+//!    two managers interleaved on one thread.
 //! 4. **Deep chains** — a 100k-variable conjunction exercises `not`, `and`,
 //!    `import`, `count_models`, the failure-cost walks and `eval` inside a
 //!    worker thread with the default stack. The previous recursive kernel
@@ -297,11 +297,11 @@ fn reused_slot_reads_unpriced() {
 }
 
 /// The dense cost memos across every lifetime event of an arena with a
-/// base segment: prices of base handles survive `gc`, `recycle` and
-/// `next_family_warm`; anything a family priced and a `gc` / `recycle`
-/// dropped must be priced afresh when its slot holds another function.
+/// base segment: prices of base handles survive `gc` and `recycle`;
+/// anything a family priced and a `gc` / `recycle` dropped must be priced
+/// afresh when its slot holds another function.
 #[test]
-fn cost_memo_is_exact_across_gc_recycle_and_warm_segments() {
+fn cost_memo_is_exact_across_gc_and_recycle() {
     prop::check("dense_cost_memo_lifetimes", |g| {
         let mut src = BddManager::new();
         let base_src: Vec<(Bdd, Table)> = (0..4).map(|_| build(g, &mut src, 3)).collect();
@@ -317,7 +317,7 @@ fn cost_memo_is_exact_across_gc_recycle_and_warm_segments() {
         assert_costs(&mut m, &base, "fresh base");
         assert_eq!(m.tallies().ops, ops, "base handles arrive priced");
 
-        for segment in 0..3 {
+        for _ in 0..3 {
             // Family work, priced; a collection that keeps a random part;
             // new work in the freed slots.
             let family: Vec<(Bdd, Table)> = (0..8).map(|_| build(g, &mut m, 4)).collect();
@@ -331,16 +331,9 @@ fn cost_memo_is_exact_across_gc_recycle_and_warm_segments() {
             assert_costs(&mut m, &base, "base after gc");
             assert_eq!(m.tallies().ops, ops, "base prices survive gc");
 
-            if segment == 1 {
-                // Warm chaining keeps nodes, handles and prices.
-                m.next_family_warm();
-                assert_costs(&mut m, &refill, "after next_family_warm");
-                assert_eq!(m.tallies().ops, 0, "warm segment re-priced nothing");
-            } else {
-                m.recycle();
-                assert_costs(&mut m, &base, "base after recycle");
-                assert_eq!(m.tallies().ops, 0, "base prices survive recycle");
-            }
+            m.recycle();
+            assert_costs(&mut m, &base, "base after recycle");
+            assert_eq!(m.tallies().ops, 0, "base prices survive recycle");
         }
     });
 }

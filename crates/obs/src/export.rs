@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": 4,
+//!   "schema": 5,
 //!   "counters": {"bdd.ops": 12034, "...": 0},
 //!   "gauges": {"bdd.peak_nodes": 4096},
 //!   "histograms": {"propagate.steps_per_run":
@@ -31,7 +31,11 @@
 //! `verify.regions` and `verify.region_boundary_links` together with the
 //! abstract first pass and region partitioning they described. Schema 4
 //! added the `verify.classes` counter (simulations a sweep ran, one per
-//! behaviour class, beside the per-family `verify.families`).
+//! behaviour class, beside the per-family `verify.families`). Schema 5
+//! removed `verify.sched_batches`, `verify.sched_steals`,
+//! `bdd.order.passes` and `bdd.order.links` together with the
+//! dependency-aware scheduler and the topology-aware variable orderings
+//! they described.
 //!
 //! Counters and histograms are deterministic for a fixed workload (they
 //! count work, not time); gauges may reflect runtime configuration (e.g.
@@ -43,7 +47,7 @@
 use std::fmt::Write as _;
 
 /// Version stamped into the `schema` field of the JSON export.
-pub const SCHEMA_VERSION: u32 = 4;
+pub const SCHEMA_VERSION: u32 = 5;
 
 fn escape(s: &str) -> String {
     s.chars()
@@ -471,7 +475,7 @@ mod tests {
         let j = export_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"schema\": 4"));
+        assert!(j.contains("\"schema\": 5"));
         assert!(j.contains("\"family_cost\": ["));
         let a = j.find("test.export.a").unwrap();
         let b = j.find("test.export.b").unwrap();

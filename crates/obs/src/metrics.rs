@@ -231,8 +231,6 @@ pub fn register_default_metrics() {
         "bdd.nodes_created",
         "bdd.nodes_reclaimed",
         "bdd.ops",
-        "bdd.order.links",
-        "bdd.order.passes",
         "bdd.shared_imports",
         "bdd.unique_hits",
         "bdd.unique_misses",
@@ -271,7 +269,6 @@ pub fn register_default_metrics() {
         "verify.families_reused",
         "verify.prefixes",
         "verify.queries",
-        "verify.sched_batches",
         "verify.shared_base_ops",
     ];
     const GAUGES: &[&str] = &[
@@ -280,7 +277,6 @@ pub fn register_default_metrics() {
         "propagate.max_formula_len",
         "verify.fanout_families",
         "verify.fanout_threads",
-        "verify.sched_steals",
         "verify.sweep_delivered",
         "verify.sweep_dropped",
         "verify.sweep_max_formula_len",

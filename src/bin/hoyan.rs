@@ -11,8 +11,7 @@
 //! hoyan equiv  <dir> --a CR0x0 --b CR0x1
 //! hoyan sweep  <dir> [--k 1] [--baseline <dirA>] [--fail-fast]
 //!              [--family-node-budget N] [--family-op-budget N]
-//!              [--family-deadline-ms MS] [--bdd-order registration|dfs|bfs]
-//!              [--schedule roundrobin|deps] [--stream]
+//!              [--family-deadline-ms MS] [--stream]
 //! hoyan diff   <dirA> <dirB> [--k 1]
 //! hoyan audit  <before-dir> <after-dir> [--k 1] [--prefix P]...
 //! hoyan tune   <dir>
@@ -35,12 +34,7 @@
 //! operation-counted and deterministic; `--family-deadline-ms` is the one
 //! wall-clock (hence non-deterministic) guard and is opt-in only.
 //!
-//! `sweep --schedule deps` groups prefix families whose origin devices
-//! overlap into batches run back-to-back on one warm BDD arena (shared ITE
-//! cache and unique table), with whole-batch work stealing between workers
-//! — reports are byte-identical to the default `roundrobin` schedule at
-//! any thread count; only the `bdd.*` bill shrinks. `sweep --stream`
-//! prints per-family outcomes in the order workers finish them and keeps only
+//! `sweep --stream` prints per-family outcomes in the order workers finish them and keeps only
 //! running aggregates in memory (peak report memory O(threads), not
 //! O(families)); it does not combine with `--baseline`.
 //!
@@ -75,9 +69,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hoyan::config::{parse_config, ConfigSnapshot, DeviceConfig};
-use hoyan::core::{
-    FamilyBudget, StreamedFamily, SweepOptions, SweepReport, SweepSchedule, Verifier,
-};
+use hoyan::core::{FamilyBudget, StreamedFamily, SweepOptions, SweepReport, Verifier};
 use hoyan::device::{Packet, VsbProfile};
 use hoyan::nettypes::Ipv4Prefix;
 use hoyan::topogen::WanSpec;
@@ -284,16 +276,8 @@ fn load_dir(dir: &str) -> Result<Vec<DeviceConfig>, String> {
 
 /// Loads `dir` and compiles it with the IS-IS database built at `isis_k`.
 fn verifier_for(dir: &str, isis_k: u32) -> Result<Verifier, String> {
-    verifier_for_ordered(dir, isis_k, hoyan::logic::BddOrdering::Registration)
-}
-
-fn verifier_for_ordered(
-    dir: &str,
-    isis_k: u32,
-    ordering: hoyan::logic::BddOrdering,
-) -> Result<Verifier, String> {
     let configs = load_dir(dir)?;
-    Verifier::new_ordered(configs, VsbProfile::ground_truth, Some(isis_k), ordering)
+    Verifier::new(configs, VsbProfile::ground_truth, Some(isis_k))
         .map_err(|e| format!("model construction failed: {e}"))
 }
 
@@ -305,14 +289,6 @@ fn verifier_for_ordered(
 /// report only verdicts inside the ball and build at exactly `k` (DESIGN.md,
 /// "IS-IS budget").
 const WITNESS_ISIS_K: u32 = 3;
-
-fn get_bdd_order(args: &[String]) -> Result<hoyan::logic::BddOrdering, CliError> {
-    match flag(args, "--bdd-order")? {
-        None => Ok(hoyan::logic::BddOrdering::Registration),
-        Some(v) => hoyan::logic::BddOrdering::parse(&v)
-            .ok_or_else(|| usage(format!("bad --bdd-order `{v}` (want registration, dfs or bfs)"))),
-    }
-}
 
 fn parse_prefix(s: &str) -> Result<Ipv4Prefix, CliError> {
     s.parse().map_err(|_| usage(format!("bad prefix `{s}`")))
@@ -358,19 +334,9 @@ fn get_budget(args: &[String]) -> Result<FamilyBudget, CliError> {
 }
 
 fn get_sweep_options(args: &[String]) -> Result<SweepOptions, CliError> {
-    let schedule = match flag(args, "--schedule")?.as_deref() {
-        None | Some("roundrobin") => SweepSchedule::RoundRobin,
-        Some("deps") => SweepSchedule::Deps,
-        Some(other) => {
-            return Err(usage(format!(
-                "unknown --schedule `{other}` (roundrobin|deps)"
-            )))
-        }
-    };
     Ok(SweepOptions {
         fail_fast: has_flag(args, "--fail-fast"),
         budget: get_budget(args)?,
-        schedule,
     })
 }
 
@@ -392,8 +358,6 @@ fn subcommand_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'s
                 "--family-node-budget",
                 "--family-op-budget",
                 "--family-deadline-ms",
-                "--bdd-order",
-                "--schedule",
             ],
             &["--fail-fast", "--stream"],
         ),
@@ -627,7 +591,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let k = get_k(args)?;
             let threads = get_threads(args)?;
             let opts = get_sweep_options(args)?;
-            let ordering = get_bdd_order(args)?;
             let t0 = std::time::Instant::now();
             // The report can run to megabytes (one line per fragile
             // prefix): one lock and one buffer for all of it.
@@ -640,7 +603,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 if flag(args, "--baseline")?.is_some() {
                     return Err(usage("--stream does not combine with --baseline"));
                 }
-                let v = verifier_for_ordered(dir, k, ordering)?;
+                let v = verifier_for(dir, k)?;
                 let mut fragile: Vec<(Ipv4Prefix, Vec<String>)> = Vec::new();
                 // The sink cannot return an error: the first write failure
                 // is kept, stops the sweep, and is surfaced once it ends.
@@ -699,7 +662,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             }
             let (v, swept) = match flag(args, "--baseline")? {
                 None => {
-                    let v = verifier_for_ordered(dir, k, ordering)?;
+                    let v = verifier_for(dir, k)?;
                     let swept = v
                         .verify_all_routes_opts(k, threads, &opts)
                         .map_err(|e| e.to_string())?;
@@ -718,21 +681,19 @@ fn run(args: &[String]) -> Result<(), CliError> {
                     let base_snap = ConfigSnapshot::new(load_dir(&base_dir)?);
                     let new_snap = ConfigSnapshot::new(load_dir(dir)?);
                     let delta = base_snap.diff(&new_snap);
-                    let v_base = Verifier::new_ordered(
+                    let v_base = Verifier::new(
                         base_snap.into_devices(),
                         VsbProfile::ground_truth,
                         Some(k),
-                        ordering,
                     )
                     .map_err(|e| format!("baseline model construction failed: {e}"))?;
                     let (_, cache) = v_base
                         .verify_all_routes_cached(k, threads)
                         .map_err(|e| e.to_string())?;
-                    let v = Verifier::new_ordered(
+                    let v = Verifier::new(
                         new_snap.into_devices(),
                         VsbProfile::ground_truth,
                         Some(k),
-                        ordering,
                     )
                     .map_err(|e| format!("model construction failed: {e}"))?;
                     let outcome = v
@@ -938,7 +899,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
                  \x20 hoyan equiv  <dir> --a D1 --b D2\n\
                  \x20 hoyan sweep  <dir> [--k K] [--threads N] [--baseline <dirA>] [--fail-fast]\n\
                  \x20              [--family-node-budget N] [--family-op-budget N] [--family-deadline-ms MS]\n\
-                 \x20              [--bdd-order registration|dfs|bfs] [--schedule roundrobin|deps] [--stream]\n\
+                 \x20              [--stream]\n\
                  \x20 hoyan diff   <dirA> <dirB> [--k K] [--threads N]\n\
                  \x20 hoyan audit  <before-dir> <after-dir> [--k K] [--prefix P ...]\n\
                  \x20 hoyan tune   <dir>\n\

@@ -51,50 +51,6 @@ fn hoyan_agrees_with_concrete_simulation_on_every_scenario() {
     }
 }
 
-/// The agreement invariant must survive variable reordering: under DFS and
-/// BFS orderings a link's BDD variable is no longer its `LinkId`, so every
-/// assignment goes through `NetworkModel::link_var` — and the conditioned
-/// simulation must still match the enumerative baseline scenario for
-/// scenario.
-#[test]
-fn ordered_models_agree_with_concrete_simulation() {
-    use hoyan::logic::BddOrdering;
-    let wan = WanSpec::tiny(7).build();
-    for ordering in [BddOrdering::Dfs, BddOrdering::Bfs] {
-        let net = NetworkModel::from_configs_ordered(
-            wan.configs.clone(),
-            VsbProfile::ground_truth,
-            ordering,
-        )
-        .unwrap();
-        assert!(
-            !net.order.is_identity(),
-            "tiny WANs must actually be reordered by {ordering:?}"
-        );
-        let isis = hoyan::core::IsisDb::build(&net, None).unwrap();
-        let p = wan.customer_prefixes[0];
-        let mut sim = Simulation::new_bgp(&net, vec![p], None, Some(&isis));
-        sim.run().unwrap();
-        for dead_links in failure_sets(net.topology.link_count(), 2) {
-            let dead: HashSet<LinkId> = dead_links.iter().copied().collect();
-            let state = converge(&net, &[p], &dead);
-            let mut assign = vec![true; net.topology.link_count()];
-            for l in &dead {
-                assign[net.link_var(*l) as usize] = false;
-            }
-            for n in net.topology.nodes() {
-                let cond = sim.reach_cond(n, p);
-                assert_eq!(
-                    sim.mgr.eval(cond, &assign),
-                    state.has_route(n, p),
-                    "ordering {ordering:?}, node {}, dead {dead_links:?}",
-                    net.topology.name(n)
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn all_four_verifiers_agree_on_k_failure_verdicts() {
     let (wan, net) = build_net(4);

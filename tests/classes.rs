@@ -9,8 +9,7 @@
 //! - **Metamorphic split**: denying one member /24 in its PE's `PL_CUST`
 //!   moves that family out of its class and changes that prefix's verdict
 //!   only.
-//! - **Thread invariance**: reports are identical at 1, 2 and 8 threads and
-//!   under either schedule.
+//! - **Thread invariance**: reports are identical at 1, 2 and 8 threads.
 //!
 //! The sweeps read the process-wide `verify.classes` counter, so the tests
 //! serialize on [`LOCK`].
@@ -19,7 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use hoyan::config::{Action, DeviceConfig};
-use hoyan::core::{PrefixReport, Simulation, SweepOptions, SweepSchedule, Verifier};
+use hoyan::core::{PrefixReport, Simulation, Verifier};
 use hoyan::device::VsbProfile;
 use hoyan::nettypes::Ipv4Prefix;
 use hoyan::topogen::{PerturbationPlan, WanSpec};
@@ -59,20 +58,12 @@ fn view(r: &PrefixReport) -> String {
     )
 }
 
-/// Sweeps at `threads` under `schedule`; returns the reports by prefix and
-/// the number of simulations (classes) the sweep ran.
-fn sweep(
-    v: &Verifier,
-    threads: usize,
-    schedule: SweepSchedule,
-) -> (BTreeMap<Ipv4Prefix, PrefixReport>, u64) {
+/// Sweeps at `threads`; returns the reports by prefix and the number of
+/// simulations (classes) the sweep ran.
+fn sweep(v: &Verifier, threads: usize) -> (BTreeMap<Ipv4Prefix, PrefixReport>, u64) {
     let classes = hoyan::obs::counter("verify.classes");
     let before = classes.get();
-    let opts = SweepOptions {
-        schedule,
-        ..SweepOptions::default()
-    };
-    let swept = v.verify_all_routes_opts(K, threads, &opts).unwrap();
+    let swept = v.verify_all_routes(K, threads).unwrap();
     assert!(swept.quarantined.is_empty());
     let reports = swept.reports.into_iter().map(|r| (r.prefix, r)).collect();
     (reports, classes.get() - before)
@@ -125,7 +116,7 @@ fn direct(v: &Verifier, fam: &[Ipv4Prefix]) -> Vec<(Ipv4Prefix, String)> {
 /// Returns `(families, classes)`.
 fn assert_sweep_matches_direct(configs: Vec<DeviceConfig>) -> (usize, u64) {
     let v = verifier(configs);
-    let (swept, classes) = sweep(&v, 2, SweepSchedule::RoundRobin);
+    let (swept, classes) = sweep(&v, 2);
     let families = v.families();
     assert_eq!(swept.len(), families.iter().map(Vec::len).sum::<usize>());
     for fam in &families {
@@ -165,7 +156,7 @@ fn denying_one_member_splits_its_class_and_changes_only_that_prefix() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let wan = block_spec().build();
     let v = verifier(wan.configs.clone());
-    let (before, classes_before) = sweep(&v, 2, SweepSchedule::RoundRobin);
+    let (before, classes_before) = sweep(&v, 2);
 
     // The second leaf of PE0x0's second block: a member of the twin class.
     let leaves: Vec<Ipv4Prefix> = wan
@@ -188,7 +179,7 @@ fn denying_one_member_splits_its_class_and_changes_only_that_prefix() {
         .filter(|e| e.prefix == target)
         .for_each(|e| e.action = Action::Deny);
 
-    let (after, classes_after) = sweep(&verifier(configs), 2, SweepSchedule::RoundRobin);
+    let (after, classes_after) = sweep(&verifier(configs), 2);
     assert_eq!(
         classes_after,
         classes_before + 1,
@@ -216,19 +207,13 @@ fn denying_one_member_splits_its_class_and_changes_only_that_prefix() {
 }
 
 #[test]
-fn class_reports_are_thread_and_schedule_invariant() {
+fn class_reports_are_thread_invariant() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let v = verifier(block_spec().build().configs);
-    let reference = views(&sweep(&v, 1, SweepSchedule::RoundRobin).0);
-    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
-        for threads in [1, 2, 8] {
-            let (reports, classes) = sweep(&v, threads, schedule);
-            assert_eq!(classes, 26);
-            assert_eq!(
-                views(&reports),
-                reference,
-                "{schedule:?} at threads={threads}"
-            );
-        }
+    let reference = views(&sweep(&v, 1).0);
+    for threads in [1, 2, 8] {
+        let (reports, classes) = sweep(&v, threads);
+        assert_eq!(classes, 26);
+        assert_eq!(views(&reports), reference, "threads={threads}");
     }
 }

@@ -404,6 +404,8 @@ fn unknown_flags_exit_with_usage_code_2() {
             "--threads",
         ),
         (&["serve", d, "--schedule", "deps"], "--schedule"),
+        (&["sweep", d, "--schedule", "deps"], "--schedule"),
+        (&["sweep", d, "--bdd-order", "dfs"], "--bdd-order"),
     ];
     for (args, bad) in cases {
         let out = hoyan().args(*args).output().unwrap();
@@ -428,8 +430,7 @@ fn unknown_flags_exit_with_usage_code_2() {
             "--k=1",
             "--threads",
             "2",
-            "--schedule",
-            "deps",
+            "--fail-fast",
             "--quiet",
         ])
         .output()

@@ -14,8 +14,7 @@ use std::sync::Mutex;
 
 use hoyan::config::ConfigSnapshot;
 use hoyan::core::{
-    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, SweepSchedule,
-    Verifier,
+    DirtyReason, FamilyBudget, FamilyOutcome, PrefixReport, SimError, SweepOptions, Verifier,
 };
 use hoyan::device::VsbProfile;
 use hoyan::rt::fault::{self, FaultKind, FaultPlan};
@@ -110,36 +109,24 @@ fn quarantine_is_thread_count_invariant() {
 fn fail_fast_surfaces_the_lowest_failing_index() {
     let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     // Two planted failures: whichever worker trips first, the surfaced
-    // error must belong to family 0 — at any thread count, under either
-    // schedule (deps batches do not run in index order).
+    // error must belong to family 0 — at any thread count.
     fault::install(FaultPlan::new().at("verify.family", &[0, 1], FaultKind::Error));
-    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
-        let opts = SweepOptions {
-            fail_fast: true,
-            schedule,
-            ..SweepOptions::default()
-        };
-        for threads in [1usize, 2, 8] {
-            let err = verifier()
-                .verify_all_routes_opts(K, threads, &opts)
-                .unwrap_err();
-            match err {
-                SimError::Injected { site, index } => {
-                    assert_eq!(
-                        (site, index),
-                        ("verify.family", 0),
-                        "{schedule:?} threads={threads}"
-                    );
-                }
-                other => panic!("expected the injected error, got {other}"),
-            }
-        }
-    }
-    // A single late failure aborts too (today's pre-quarantine behavior).
     let opts = SweepOptions {
         fail_fast: true,
         ..SweepOptions::default()
     };
+    for threads in [1usize, 2, 8] {
+        let err = verifier()
+            .verify_all_routes_opts(K, threads, &opts)
+            .unwrap_err();
+        match err {
+            SimError::Injected { site, index } => {
+                assert_eq!((site, index), ("verify.family", 0), "threads={threads}");
+            }
+            other => panic!("expected the injected error, got {other}"),
+        }
+    }
+    // A single late failure aborts too (today's pre-quarantine behavior).
     fault::install(FaultPlan::new().at("verify.family", &[2], FaultKind::Error));
     let err = verifier().verify_all_routes_opts(K, 2, &opts).unwrap_err();
     assert!(matches!(err, SimError::Injected { index: 2, .. }), "{err}");
@@ -179,39 +166,33 @@ fn a_fault_on_a_class_member_quarantines_only_that_member() {
     let clean = class_verifier().verify_all_routes(K, 2).unwrap().reports;
 
     fault::install(FaultPlan::new().at("verify.family", &[member as u64], FaultKind::Error));
-    for schedule in [SweepSchedule::RoundRobin, SweepSchedule::Deps] {
-        for threads in [1usize, 2, 8] {
-            let v = class_verifier();
-            let opts = SweepOptions {
-                schedule,
-                ..SweepOptions::default()
-            };
-            let swept = v.verify_all_routes_opts(K, threads, &opts).unwrap();
-            let q: Vec<usize> = swept.quarantined.iter().map(|q| q.index).collect();
-            assert_eq!(q, vec![member], "{schedule:?} threads={threads}");
-            // Everyone else — the representative and the other members —
-            // reports exactly what the fault-free sweep did.
-            let lost = &v.families()[member];
-            let want: Vec<String> = clean
-                .iter()
-                .filter(|r| !lost.contains(&r.prefix))
-                .map(stable_view)
-                .collect();
-            let got: Vec<String> = swept.reports.iter().map(stable_view).collect();
-            assert_eq!(got, want, "{schedule:?} threads={threads}");
+    let fail_fast = SweepOptions {
+        fail_fast: true,
+        ..SweepOptions::default()
+    };
+    for threads in [1usize, 2, 8] {
+        let v = class_verifier();
+        let swept = v.verify_all_routes(K, threads).unwrap();
+        let q: Vec<usize> = swept.quarantined.iter().map(|q| q.index).collect();
+        assert_eq!(q, vec![member], "threads={threads}");
+        // Everyone else — the representative and the other members —
+        // reports exactly what the fault-free sweep did.
+        let lost = &v.families()[member];
+        let want: Vec<String> = clean
+            .iter()
+            .filter(|r| !lost.contains(&r.prefix))
+            .map(stable_view)
+            .collect();
+        let got: Vec<String> = swept.reports.iter().map(stable_view).collect();
+        assert_eq!(got, want, "threads={threads}");
 
-            let fail_fast = SweepOptions {
-                fail_fast: true,
-                ..opts
-            };
-            let err = v
-                .verify_all_routes_opts(K, threads, &fail_fast)
-                .unwrap_err();
-            assert!(
-                matches!(err, SimError::Injected { index, .. } if index == member as u64),
-                "{schedule:?} threads={threads}: {err}"
-            );
-        }
+        let err = v
+            .verify_all_routes_opts(K, threads, &fail_fast)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimError::Injected { index, .. } if index == member as u64),
+            "threads={threads}: {err}"
+        );
     }
     fault::clear();
 }
@@ -275,7 +256,6 @@ fn op_budget_quarantines_deterministically() {
             max_ite_ops: Some(1),
             ..FamilyBudget::default()
         },
-        ..SweepOptions::default()
     };
     let mut snapshots = Vec::new();
     for threads in [1usize, 8] {
@@ -312,7 +292,6 @@ fn node_budget_trips_on_tiny_caps() {
             max_live_nodes: Some(1),
             ..FamilyBudget::default()
         },
-        ..SweepOptions::default()
     };
     let swept = verifier().verify_all_routes_opts(K, 2, &opts).unwrap();
     assert!(

@@ -289,11 +289,10 @@ fn core_and_logic_sources_are_panic_free() {
     }
     assert!(audited.len() >= 17, "expected to audit the core/logic/bin sources");
     // Modules added since the floor was set must actually be in the walk —
-    // the variable-ordering pass runs inside the same quarantine-covered
-    // sweeps as the rest of the engine, the daemon holds the resident state
-    // a panicking worker would orphan, and the CLI is the operator surface
-    // where a panic masks the structured usage/run error split.
-    for module in ["order.rs", "topology.rs", "network.rs", "propagate.rs", "serve.rs", "hoyan.rs"] {
+    // the daemon holds the resident state a panicking worker would orphan,
+    // and the CLI is the operator surface where a panic masks the
+    // structured usage/run error split.
+    for module in ["topology.rs", "network.rs", "propagate.rs", "serve.rs", "hoyan.rs"] {
         assert!(
             audited.iter().any(|f| f == module),
             "expected to audit {module}, found {audited:?}"

@@ -39,15 +39,6 @@ fn deterministic_sections(json: &str) -> String {
 }
 
 fn sweep_stats_json(dir: &std::path::Path, threads: &str, tag: &str) -> String {
-    sweep_stats_json_ordered(dir, threads, tag, "registration")
-}
-
-fn sweep_stats_json_ordered(
-    dir: &std::path::Path,
-    threads: &str,
-    tag: &str,
-    order: &str,
-) -> String {
     let json_path = dir.join(format!("stats-{tag}.json"));
     let out = hoyan()
         .args([
@@ -57,8 +48,6 @@ fn sweep_stats_json_ordered(
             "1",
             "--threads",
             threads,
-            "--bdd-order",
-            order,
             "--stats-json",
             json_path.to_str().unwrap(),
         ])
@@ -91,10 +80,10 @@ fn counters_are_identical_across_runs_and_thread_counts() {
     assert!(out.status.success());
 
     let full = sweep_stats_json(&dir, "1", "t1");
-    // Schema v3: the version marker, the flight-recorder drop counter, the
+    // The version marker, the flight-recorder drop counter, the
     // shared-base attribution counter and the family_cost section are all
     // pinned into every export.
-    assert!(full.contains("\"schema\": 4,"), "{full}");
+    assert!(full.contains("\"schema\": 5,"), "{full}");
     assert!(full.contains("\"obs.events_dropped\""), "{full}");
     assert!(full.contains("\"verify.shared_base_ops\""), "{full}");
     assert!(full.contains("\"family_cost\""), "{full}");
@@ -108,8 +97,6 @@ fn counters_are_identical_across_runs_and_thread_counts() {
         "\"bdd.ite_cache_misses\"",
         "\"bdd.gc_runs\"",
         "\"bdd.nodes_reclaimed\"",
-        "\"bdd.order.links\"",
-        "\"bdd.order.passes\"",
         "\"bdd.shared_imports\"",
     ] {
         assert!(
@@ -133,128 +120,6 @@ fn counters_are_identical_across_runs_and_thread_counts() {
             baseline, got,
             "counters/histograms must not depend on scheduling (threads={threads})"
         );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Like [`sweep_stats_json`] but with `--schedule <schedule>`.
-fn sweep_stats_json_scheduled(
-    dir: &std::path::Path,
-    threads: &str,
-    tag: &str,
-    schedule: &str,
-) -> String {
-    let json_path = dir.join(format!("stats-{tag}.json"));
-    let out = hoyan()
-        .args([
-            "sweep",
-            dir.to_str().unwrap(),
-            "--k",
-            "1",
-            "--threads",
-            threads,
-            "--schedule",
-            schedule,
-            "--stats-json",
-            json_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    std::fs::read_to_string(&json_path).unwrap()
-}
-
-/// `--schedule deps` plans its batches on the calling thread before any
-/// worker starts, so `verify.sched_batches` (a counter) and the whole
-/// counter/histogram section are byte-identical across 1/2/8 threads.
-/// Work stealing *does* vary with the worker count — which is exactly why
-/// `verify.sched_steals` is classed as a gauge and stays outside the
-/// deterministic sections.
-#[test]
-fn deps_schedule_counters_are_thread_invariant() {
-    let dir = std::env::temp_dir().join(format!("hoyan-obs-sched-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = hoyan()
-        .args(["gen", dir.to_str().unwrap(), "--size", "tiny", "--seed", "11"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    let full = sweep_stats_json_scheduled(&dir, "1", "deps-t1", "deps");
-    // The planner ran and chunked the families into at least one batch; the
-    // steal gauge is pinned into the schema (zero on a single worker).
-    assert!(!full.contains("\"verify.sched_batches\": 0,"), "{full}");
-    assert!(full.contains("\"verify.sched_batches\""), "{full}");
-    assert!(full.contains("\"verify.sched_steals\""), "{full}");
-    let baseline = deterministic_sections(&full);
-    for threads in ["2", "8"] {
-        let got = deterministic_sections(&sweep_stats_json_scheduled(
-            &dir,
-            threads,
-            &format!("deps-t{threads}"),
-            "deps",
-        ));
-        assert_eq!(
-            baseline, got,
-            "deps schedule: counters must not depend on threads={threads}"
-        );
-    }
-    // Round-robin plans nothing: the batch counter stays zero there.
-    let rr = sweep_stats_json_scheduled(&dir, "2", "rr-t2", "roundrobin");
-    assert!(rr.contains("\"verify.sched_batches\": 0,"), "{rr}");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The determinism contract holds *per ordering* too: with `--bdd-order
-/// dfs|bfs` the ordering pass runs and the per-worker shared-base import
-/// count varies with the thread count, yet the exported counters and
-/// histograms must stay byte-identical across 1/2/8 threads (the import's
-/// tallies are excluded by design, and `bdd.shared_imports` counts
-/// per-family cache hits, not per-worker attaches).
-#[test]
-fn counters_are_thread_invariant_under_each_ordering() {
-    let dir = std::env::temp_dir().join(format!("hoyan-obs-ord-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = hoyan()
-        .args(["gen", dir.to_str().unwrap(), "--size", "tiny", "--seed", "11"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    for order in ["dfs", "bfs"] {
-        let baseline = deterministic_sections(&sweep_stats_json_ordered(
-            &dir,
-            "1",
-            &format!("{order}-t1"),
-            order,
-        ));
-        // The ordering pass ran exactly once (one model build per sweep).
-        assert!(
-            baseline.contains("\"bdd.order.passes\": 1,"),
-            "{order}: ordering pass not recorded in {baseline}"
-        );
-        assert!(
-            baseline.contains("\"bdd.shared_imports\""),
-            "{order}: shared-import counter missing"
-        );
-        for threads in ["2", "8"] {
-            let got = deterministic_sections(&sweep_stats_json_ordered(
-                &dir,
-                threads,
-                &format!("{order}-t{threads}"),
-                order,
-            ));
-            assert_eq!(
-                baseline, got,
-                "order={order}: counters must not depend on threads={threads}"
-            );
-        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -301,8 +166,8 @@ fn propagate_phase_tallies_appear_only_under_timing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every key `register_default_metrics` pre-registers (schema v4).
-const DEFAULT_COUNTERS: [&str; 47] = [
+/// Every key `register_default_metrics` pre-registers (schema v5).
+const DEFAULT_COUNTERS: [&str; 45] = [
     "bdd.gc_runs",
     "bdd.ite_cache_hits",
     "bdd.ite_cache_misses",
@@ -310,8 +175,6 @@ const DEFAULT_COUNTERS: [&str; 47] = [
     "bdd.nodes_created",
     "bdd.nodes_reclaimed",
     "bdd.ops",
-    "bdd.order.links",
-    "bdd.order.passes",
     "bdd.shared_imports",
     "bdd.unique_hits",
     "bdd.unique_misses",
@@ -351,21 +214,20 @@ const DEFAULT_COUNTERS: [&str; 47] = [
     "verify.prefixes",
     "verify.queries",
 ];
-const DEFAULT_GAUGES: [&str; 9] = [
+const DEFAULT_GAUGES: [&str; 8] = [
     "bdd.peak_nodes",
     "bdd.shared_base_nodes",
     "propagate.max_formula_len",
     "verify.fanout_families",
     "verify.fanout_threads",
-    "verify.sched_steals",
     "verify.sweep_delivered",
     "verify.sweep_dropped",
     "verify.sweep_max_formula_len",
 ];
 
-/// Schema v3 removed four keys along with the code that set them, and
-/// schema v4 added `verify.classes`; every default key must be exported by
-/// a plain sweep.
+/// Schemas v3 and v5 each removed four keys along with the code that set
+/// them, and schema v4 added `verify.classes`; every default key must be
+/// exported by a plain sweep.
 #[test]
 fn default_keys_are_pinned_and_removed_keys_are_gone() {
     let dir = std::env::temp_dir().join(format!("hoyan-obs-keys-{}", std::process::id()));
@@ -385,7 +247,7 @@ fn default_keys_are_pinned_and_removed_keys_are_gone() {
     assert!(out.status.success());
 
     let json = sweep_stats_json(&dir, "2", "keys");
-    assert!(json.contains("\"schema\": 4,"), "{json}");
+    assert!(json.contains("\"schema\": 5,"), "{json}");
     for key in DEFAULT_COUNTERS.iter().chain(&DEFAULT_GAUGES) {
         assert!(
             json.contains(&format!("\"{key}\": ")),
@@ -398,6 +260,10 @@ fn default_keys_are_pinned_and_removed_keys_are_gone() {
         "verify.families_refined",
         "verify.regions",
         "verify.region_boundary_links",
+        "verify.sched_batches",
+        "verify.sched_steals",
+        "bdd.order.passes",
+        "bdd.order.links",
     ] {
         assert!(
             !json.contains(&format!("\"{removed}\"")),
