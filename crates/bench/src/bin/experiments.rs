@@ -4,7 +4,7 @@
 //!
 //! Usage: `experiments <id>|all [--quick]`
 //! where `<id>` ∈ {fig7, fig8-13, fig14, fig15, fig16, table2, table3,
-//! table4, table5, formulas, incremental, bdd, faults, wan, serve}.
+//! table4, table5, formulas, bdd, wan, serve}.
 //!
 //! `experiments regress <baseline.json> <candidate.json> [--warn-only]
 //! [--counters-only]` is different: it diffs two `BENCH_<suite>.json` files
@@ -19,16 +19,10 @@
 //! though the committed baselines were produced in release mode on other
 //! hardware.
 //!
-//! `incremental` is not a paper figure: it measures the snapshot/delta
-//! pipeline (fresh full sweep vs `Verifier::reverify` against a cached
-//! baseline) at several perturbation sizes and writes
-//! `BENCH_incremental.json`. `bdd` likewise is kernel-facing: it measures
-//! the ITE/GC BDD engine under a full sweep and writes `BENCH_bdd.json`.
-//! `faults` arms a seeded fault-injection plan, drives quarantined sweeps
-//! at several thread counts, checks the quarantined set is thread-count
-//! invariant, and writes `BENCH_faults.json`. `wan` sweeps the paper-scale
-//! `wan-paper` fixture materialized and streamed and writes
-//! `BENCH_wan.json`. `serve` binds the resident daemon on an ephemeral
+//! `bdd` is not a paper figure: it is kernel-facing, measuring the ITE/GC
+//! BDD engine under a full sweep, and writes `BENCH_bdd.json`. `wan`
+//! sweeps the paper-scale `wan-paper` fixture materialized and streamed and
+//! writes `BENCH_wan.json`. `serve` binds the resident daemon on an ephemeral
 //! port, fires a seeded request mix from 8 concurrent in-process clients
 //! (cache-hit `reach`, fresh-simulation `reach k=2`, hostile over-budget
 //! probes, `equiv`, `stats`), pushes a config via `whatif` and checks the
@@ -44,12 +38,11 @@ use std::time::{Duration, Instant};
 
 use hoyan_baselines::{BatfishLike, MinesweeperLike, PlanktonLike};
 use hoyan_bench::{fmt_dur, Cdf};
-use hoyan_config::ConfigSnapshot;
 use hoyan_core::{packet_reach, NetworkModel, StreamedFamily, SweepOptions, Verifier};
 use hoyan_device::{Packet, VsbProfile};
 use hoyan_nettypes::{Ipv4Prefix, NodeId};
 use hoyan_rt::bench::BenchSuite;
-use hoyan_topogen::{PerturbationPlan, UpdatePlan, Wan, WanSpec};
+use hoyan_topogen::{UpdatePlan, Wan, WanSpec};
 use hoyan_tuner::{ModelRegistry, Validator};
 
 fn main() {
@@ -95,14 +88,8 @@ fn main() {
     if run("formulas") {
         formulas();
     }
-    if run("incremental") {
-        incremental(quick);
-    }
     if run("bdd") {
         bdd(quick);
-    }
-    if run("faults") {
-        faults(quick);
     }
     if run("wan") {
         wan_sweep(quick);
@@ -716,88 +703,9 @@ fn table45(name: &str, spec: WanSpec, quick: bool) {
     println!();
 }
 
-// ------------------------------------------------------- Incremental sweep
-
-/// Incremental re-verification: fresh full sweep vs `reverify` against a
-/// cached baseline, for growing perturbation counts. Both cells include the
-/// post-change model + IS-IS build (any real pipeline pays it); the delta
-/// cell additionally skips the clean families. Emits `BENCH_incremental.json`.
-fn incremental(quick: bool) {
-    let spec = if quick {
-        WanSpec::tiny(42)
-    } else {
-        // ≥40 devices: the scale where family selectivity starts to matter.
-        WanSpec {
-            seed: 42,
-            regions: 3,
-            pes_per_region: 4,
-            mans_per_region: 2,
-            prefixes_per_pe: 2,
-            extra_core_links: 2,
-            block_prefixes: 1,
-        }
-    };
-    let wan = spec.build();
-    println!(
-        "=== Incremental re-verification ({} devices, {} customer prefixes) ===",
-        wan.device_count(),
-        wan.customer_prefixes.len()
-    );
-    let k = 1u32;
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(8);
-    let baseline = Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3))
-        .expect("baseline verifier");
-    let t0 = Instant::now();
-    let (_, cache) = baseline
-        .verify_all_routes_cached(k, threads)
-        .expect("baseline sweep");
-    println!(
-        " baseline sweep ({} families): {}",
-        cache.len(),
-        fmt_dur(t0.elapsed())
-    );
-    let snap_a = ConfigSnapshot::new(wan.configs.clone());
-
-    let mut suite = BenchSuite::new("incremental");
-    let sizes: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
-    let samples = if quick { 2 } else { 5 };
-    for &n in sizes {
-        // Origin-local perturbations (new announcements, static-preference
-        // retunes): the workload where the dependency index pays off.
-        let plan = PerturbationPlan::generate_local(&wan, 9000 + n as u64, n);
-        let edited = plan.apply(&wan.configs);
-        let delta = snap_a.diff(&ConfigSnapshot::new(edited.clone()));
-        let probe =
-            Verifier::new(edited.clone(), VsbProfile::ground_truth, Some(3)).expect("verifier");
-        let outcome = probe
-            .reverify(&delta, &cache, k, threads)
-            .expect("reverify");
-        println!(
-            " {n} perturbation(s): {} family(ies) recomputed, {} reused",
-            outcome.recomputed, outcome.reused
-        );
-        suite.bench_with_samples(&format!("fresh/{n}"), samples, &mut || {
-            Verifier::new(edited.clone(), VsbProfile::ground_truth, Some(3))
-                .expect("verifier")
-                .verify_all_routes(k, threads)
-                .expect("sweep")
-        });
-        suite.bench_with_samples(&format!("reverify/{n}"), samples, &mut || {
-            Verifier::new(edited.clone(), VsbProfile::ground_truth, Some(3))
-                .expect("verifier")
-                .reverify(&delta, &cache, k, threads)
-                .expect("reverify")
-        });
-    }
-    suite.finish();
-    println!();
-}
-
 // --------------------------------------------------------------- BDD kernel
 
-/// BDD kernel health under a real workload on the 42-router incremental
+/// BDD kernel health under a real workload on a 42-router multi-region
 /// fixture. Two metric windows: the model + IS-IS build (where the k=3 IGP
 /// simulations stress the mark-and-sweep GC) is reported on the console,
 /// and the route-reachability sweep itself is the snapshot embedded in
@@ -807,7 +715,7 @@ fn bdd(quick: bool) {
     let spec = if quick {
         WanSpec::tiny(42)
     } else {
-        // The same ≥40-device fixture the incremental experiment uses.
+        // ≥40 devices: the scale where family selectivity starts to matter.
         WanSpec {
             seed: 42,
             regions: 3,
@@ -879,75 +787,6 @@ fn bdd(quick: bool) {
     suite.set_metrics_json(format!("{{\n    \"sweep\": {sweep_snapshot}\n  }}"));
     let samples = if quick { 2 } else { 5 };
     suite.bench_with_samples("sweep", samples, &mut || {
-        verifier.verify_all_routes(k, threads).expect("sweep")
-    });
-    suite.finish();
-    println!();
-}
-
-// ------------------------------------------------------------ Fault drills
-
-/// Fault-tolerance drill (not a paper figure): a seeded injection plan takes
-/// out ~10% of the prefix families (mixed errors, budget breaches and
-/// panics); the sweep must quarantine exactly those families — the *same*
-/// set at every thread count — and still report every survivor. Measures
-/// the overhead of quarantined sweeps and writes `BENCH_faults.json`.
-fn faults(quick: bool) {
-    use hoyan_rt::fault::{self, FaultKind, FaultPlan};
-    println!("=== Fault drill: seeded injection + per-family quarantine ===");
-    let wan = if quick {
-        WanSpec::tiny(42).build()
-    } else {
-        WanSpec::small(42).build()
-    };
-    let k = 1;
-    let verifier =
-        Verifier::new(wan.configs.clone(), VsbProfile::ground_truth, Some(3)).expect("verifier");
-    let families = verifier.families().len();
-
-    // ~100‰ errors, plus one pinned budget breach and one pinned panic so
-    // every failure mode is exercised on any fixture size.
-    let plan = FaultPlan::new()
-        .at("verify.family", &[1], FaultKind::OverBudget)
-        .at("verify.family", &[2], FaultKind::Panic)
-        .seeded("verify.family", 0xF0F0, 100, FaultKind::Error);
-    fault::install(plan);
-
-    let mut baseline: Option<Vec<String>> = None;
-    for threads in [1usize, 2, 8] {
-        let t0 = Instant::now();
-        let swept = verifier.verify_all_routes(k, threads).expect("sweep");
-        let wall = t0.elapsed();
-        let q: Vec<String> = swept
-            .quarantined
-            .iter()
-            .map(|f| format!("{}:{}", f.index, f.outcome))
-            .collect();
-        println!(
-            " threads={threads}: {} in quarantine of {families} families, {} reports, {}",
-            q.len(),
-            swept.reports.len(),
-            fmt_dur(wall)
-        );
-        match &baseline {
-            None => baseline = Some(q),
-            Some(b) => assert_eq!(
-                &q, b,
-                "quarantined set must be identical at any thread count"
-            ),
-        }
-    }
-
-    let mut suite = BenchSuite::new("faults");
-    let samples = if quick { 2 } else { 5 };
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(8);
-    suite.bench_with_samples("sweep_with_faults", samples, &mut || {
-        verifier.verify_all_routes(k, threads).expect("sweep")
-    });
-    fault::clear();
-    suite.bench_with_samples("sweep_clean", samples, &mut || {
         verifier.verify_all_routes(k, threads).expect("sweep")
     });
     suite.finish();

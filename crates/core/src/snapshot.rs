@@ -12,7 +12,7 @@
 //!
 //! Both the fresh and the incremental sweep run families on workers that
 //! keep one warm `BddManager` arena each, recycled between families (see
-//! `Verifier::sweep_families`). A [`CachedPrefixReport`] therefore stores
+//! `Verifier::sweep`). A [`CachedPrefixReport`] therefore stores
 //! only plain data — hostnames, counts, formula *lengths* — never `Bdd`
 //! handles: a handle is only meaningful inside the arena segment that
 //! allocated it, and that segment is reset as soon as the family finishes.

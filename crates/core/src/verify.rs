@@ -517,6 +517,12 @@ impl Verifier {
         let _sp = hoyan_obs::span("verify.query");
         hoyan_obs::metric!(counter "verify.queries").inc();
         let v = sim.reach_cond(node, prefix);
+        self.verdict(sim, v, k)
+    }
+
+    /// The `k`-failure verdict on reachability condition `v`, with a
+    /// minimal breaking failure set named by link.
+    fn verdict(&self, sim: &mut Simulation<'_>, v: hoyan_logic::Bdd, k: u32) -> ReachReport {
         let reachable_now = sim.mgr.eval(v, &[]);
         let min_failures = sim.mgr.min_failures_to_falsify(v);
         // The falsifying set is over BDD variables; variable `l` is link `l`.
@@ -575,29 +581,7 @@ impl Verifier {
             packet,
             Some(k),
         );
-        let v = walk.reach_cond;
-        let reachable_now = sim.mgr.eval(v, &[]);
-        let min_failures = sim.mgr.min_failures_to_falsify(v);
-        let witness = sim.mgr.min_falsifying_failures(v).map(|vars| {
-            vars.iter()
-                .map(|l| {
-                    let (a, b) = self.net.topology.link_ends(LinkId(*l));
-                    format!(
-                        "{}-{}",
-                        self.net.topology.name(a),
-                        self.net.topology.name(b)
-                    )
-                })
-                .collect()
-        });
-        Ok(ReachReport {
-            reachable_now,
-            min_failures_to_break: min_failures,
-            resilient: min_failures > k,
-            witness,
-            formula_len: sim.mgr.size(v),
-            max_formula_len: sim.stats.max_formula_len,
-        })
+        Ok(self.verdict(&mut sim, walk.reach_cond, k))
     }
 
     /// Role equivalence (§7.2): do two devices receive the same routes and
@@ -744,7 +728,7 @@ impl Verifier {
         k: u32,
         opts: &SweepOptions,
     ) -> (Result<FamilySweep, SimError>, BddManager) {
-        // Seeded injection site: tests and `experiments faults` arm it to
+        // Seeded injection site: tests and `HOYAN_FAULTS` arm it to
         // exercise quarantine deterministically; disarmed it is one relaxed
         // atomic load. A planned panic fires inside `hit` itself.
         let mut budget = opts.budget;
@@ -842,45 +826,6 @@ impl Verifier {
         (Ok(sweep), sim.into_manager())
     }
 
-    /// Simulates the given prefix families at budget `k` on `threads` scoped
-    /// `std::thread`s (CPU-bound work, no async runtime) and returns each
-    /// family's reports plus the dependency trace its propagation recorded.
-    /// Results come back ordered by family index, so callers see the same
-    /// sequence for any thread count.
-    ///
-    /// The unit of work is a behaviour class (`crate::classes`): families
-    /// whose prefix-dependent inputs are equal run one simulation, on the
-    /// lowest-index member (the representative), whose output is renamed
-    /// to every other member. Everything after that — reports, quarantine,
-    /// counters, streaming — stays per family.
-    ///
-    /// Fault tolerance: each class runs under `catch_unwind`; an error,
-    /// budget breach or panic quarantines *that class only* (every member,
-    /// with the representative's error) and the rest of the sweep
-    /// completes. With [`SweepOptions::fail_fast`] the sweep instead aborts
-    /// like the pre-quarantine implementation, surfacing the
-    /// *lowest-index* failing family at any thread count: once a failure
-    /// is recorded, workers skip every class whose representative sorts
-    /// above the lowest failure so far but keep running the ones below it,
-    /// so every lower index is decided before the workers drain. A member cannot fail below its own
-    /// representative, so the lowest failure is always a representative.
-    ///
-    /// Determinism: a family's reports are pushed atomically (all or
-    /// nothing), the final list is sorted by family index, and the
-    /// quarantine counters are bumped once, post-join — so reports,
-    /// quarantined set and counters are identical for any thread count
-    /// (see `tests/determinism.rs` and `tests/faults.rs`).
-    fn sweep_families(
-        &self,
-        families: &[Vec<Ipv4Prefix>],
-        k: u32,
-        threads: usize,
-        opts: &SweepOptions,
-        units: Option<&[usize]>,
-    ) -> Result<SweepOutcome, SimError> {
-        self.sweep_families_sink(families, k, threads, opts, units, None)
-    }
-
     /// Partitions `families` into behaviour classes, ordered by
     /// representative. A family with a planted `verify.family` fault runs
     /// as a class of its own, so the fault fires on exactly that family,
@@ -905,38 +850,63 @@ impl Verifier {
         classes
     }
 
-    /// [`Verifier::sweep_families`] with an optional streaming sink: when
-    /// `sink` is set, each completed family's reports are sent through a
-    /// bounded channel as the worker finishes them (backpressure bounds
-    /// the reports alive at once to O(threads)) and the returned
-    /// [`SweepOutcome`] keeps report-less shells for the post-join
-    /// bookkeeping. Quarantined families are streamed post-join, in index
-    /// order. The sink runs on the calling thread; once it returns
-    /// `Break`, it is called no more and the workers stop claiming
-    /// families.
-    fn sweep_families_sink(
+    /// The sweep engine behind every public sweep: simulates `families` at
+    /// budget `k` on `threads` scoped `std::thread`s (CPU-bound work, no
+    /// async runtime) and hands each outcome to `sink` on the calling
+    /// thread. Finished families arrive through one bounded channel, a
+    /// class at a time, as the workers complete them (arrival order; the
+    /// bound keeps the reports alive at once to O(threads) classes);
+    /// quarantined families follow post-join, in index order. Once `sink`
+    /// returns `Break` it is called no more and the workers stop claiming
+    /// families. Returns the prune stats folded over every finished family.
+    ///
+    /// `units` maps family indices to flight-recorder unit ids: `reverify`
+    /// passes the classification indices of its dirty list, so recorded
+    /// events and costs carry global family ids. `deps` keeps each finished
+    /// family's dependency trace; only a cache reads it, so every other
+    /// sweep drops the trace in the worker and renames members without
+    /// copying it.
+    ///
+    /// The unit of work is a behaviour class (`crate::classes`): families
+    /// whose prefix-dependent inputs are equal run one simulation, on the
+    /// lowest-index member (the representative), whose output is renamed
+    /// to every other member. Everything after that — reports, quarantine,
+    /// counters, the sink — stays per family.
+    ///
+    /// Fault tolerance: each class runs under `catch_unwind`; an error,
+    /// budget breach or panic quarantines *that class only* (every member,
+    /// with the representative's error) and the rest of the sweep
+    /// completes. With [`SweepOptions::fail_fast`] the sweep instead aborts
+    /// like the pre-quarantine implementation, surfacing the
+    /// *lowest-index* failing family at any thread count: once a failure
+    /// is recorded, workers skip every class whose representative sorts
+    /// above the lowest failure so far but keep running the ones below it,
+    /// so every lower index is decided before the workers drain. A member cannot fail below its own
+    /// representative, so the lowest failure is always a representative.
+    ///
+    /// Determinism: a class is published whole (one channel item), and
+    /// the quarantined set, its counters and the per-family cost
+    /// attribution are folded once, post-join, in index order — so all of
+    /// it is identical for any thread count; only the arrival order varies
+    /// (see `tests/determinism.rs` and `tests/faults.rs`).
+    #[allow(clippy::too_many_arguments)]
+    fn sweep(
         &self,
         families: &[Vec<Ipv4Prefix>],
+        units: Option<&[usize]>,
+        deps: bool,
         k: u32,
         threads: usize,
         opts: &SweepOptions,
-        units: Option<&[usize]>,
-        mut sink: Option<&mut dyn FnMut(StreamedFamily) -> ControlFlow<()>>,
-    ) -> Result<SweepOutcome, SimError> {
+        sink: &mut dyn FnMut(Swept) -> ControlFlow<()>,
+    ) -> Result<PruneStats, SimError> {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let _sweep = hoyan_obs::span("verify.sweep");
         // Fan-out occupancy: thread-count-dependent by nature, so a gauge
         // (the determinism contract covers counters/histograms only).
         hoyan_obs::metric!(gauge "verify.fanout_threads").record_max(threads.max(1) as u64);
         hoyan_obs::metric!(gauge "verify.fanout_families").record_max(families.len() as u64);
-        // Flight-recorder unit ids: the local family index by default;
-        // `reverify` passes the classification indices of its dirty list so
-        // recorded events and costs carry global family ids.
-        let unit_of = |i: usize| match units {
-            Some(u) => u[i] as u64,
-            None => i as u64,
-        };
-        let results = std::sync::Mutex::new(Vec::new());
+        let unit_of = |i: usize| units.map_or(i, |u| u[i]) as u64;
         let next = AtomicUsize::new(0);
         // Recorder worker ids (for the opt-in `--timing` trace only; with
         // timing off the trace never exposes worker identity).
@@ -965,21 +935,20 @@ impl Verifier {
         };
         hoyan_obs::metric!(counter "verify.classes").add(classes.len() as u64);
         let hung_up = AtomicBool::new(false);
+        // This sweep's own aggregate — one contribution per finished
+        // family, so it is the same at any thread count and never carries
+        // over from an earlier sweep of the same verifier.
+        let mut stats = PruneStats::default();
+        // Every finished family's bill, attributed post-join.
+        let mut costs: Vec<(usize, FamilyCost)> = Vec::new();
         std::thread::scope(|s| {
-            // Streaming channel: bounded at two families per worker, so a
-            // slow sink throttles the sweep instead of buffering every
-            // report.
-            let (tx, rx) = if sink.is_some() {
-                let (t, r) = std::sync::mpsc::sync_channel::<StreamedFamily>(nw * 2);
-                (Some(t), Some(r))
-            } else {
-                (None, None)
-            };
+            // Bounded at two classes per worker, so a slow sink throttles
+            // the sweep instead of buffering every report.
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<FamilySweep>>(nw * 2);
             // Shadow references: the worker closures are `move` (each owns
-            // its clone of the streaming sender) and must not capture the
-            // shared state by value.
+            // its clone of the sender) and must not capture the shared
+            // state by value.
             let this = self;
-            let results = &results;
             let failures = &failures;
             let min_failed = &min_failed;
             let next = &next;
@@ -1040,7 +1009,7 @@ impl Verifier {
                                 )
                             }));
                             let failure = match work {
-                                Ok((Ok(sweep), mgr)) => {
+                                Ok((Ok(mut sweep), mgr)) => {
                                     hoyan_obs::record(hoyan_obs::EventKind::FamilyEnd {
                                         ops: sweep.cost.ops,
                                         peak_nodes: sweep.cost.peak_family_nodes,
@@ -1059,34 +1028,25 @@ impl Verifier {
                                     {
                                         continue;
                                     }
-                                    let copies: Vec<FamilySweep> = class[1..]
+                                    if !deps {
+                                        sweep.deps = FamilyDeps::default();
+                                    }
+                                    let mut done: Vec<FamilySweep> = class[1..]
                                         .iter()
                                         .map(|&m| sweep.for_member(m, &families[m]))
                                         .collect();
-                                    let mut done = Vec::with_capacity(class.len());
-                                    for mut f in std::iter::once(sweep).chain(copies) {
+                                    done.push(sweep);
+                                    for f in &done {
                                         hoyan_obs::metric!(counter "verify.families").inc();
                                         hoyan_obs::metric!(counter "verify.prefixes")
                                             .add(families[f.index].len() as u64);
-                                        if let Some(tx) = &tx {
-                                            // Streaming: hand the reports
-                                            // to the sink now (the bounded
-                                            // send is the backpressure) and
-                                            // keep a report-less shell for
-                                            // the post-join bookkeeping.
-                                            let _ = tx.send(StreamedFamily::Done {
-                                                index: f.index,
-                                                reports: std::mem::take(&mut f.reports),
-                                                cost: f.cost,
-                                            });
-                                            f.deps = FamilyDeps::default();
-                                        }
-                                        done.push(f);
                                     }
-                                    results
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner())
-                                        .extend(done);
+                                    // One item per class, so a wake-up of
+                                    // the calling thread is paid per
+                                    // simulation. The bounded send is the
+                                    // backpressure; it fails only if the
+                                    // calling thread unwound.
+                                    let _ = tx.send(done);
                                     continue;
                                 }
                                 Ok((Err(e), mgr)) => {
@@ -1129,20 +1089,19 @@ impl Verifier {
                     })
                 })
                 .collect();
-            // The streaming pump runs on this (the calling) thread while
-            // the workers produce. Dropping the original sender first
-            // leaves the workers holding the only clones, so the receive
-            // loop ends exactly when the last worker exits. A sink that
-            // breaks hangs up: the workers see `hung_up` at their next
-            // claim, and dropping `rx` fails their pending sends.
+            // The pump runs on this (the calling) thread while the workers
+            // produce. Dropping the original sender first leaves the
+            // workers holding the only clones, so the receive loop ends
+            // exactly when the last worker exits. A sink that breaks hangs
+            // up: it is called no more, the workers see `hung_up` at their
+            // next claim, and what they still finish is folded, not
+            // delivered.
             drop(tx);
-            if let Some(rx) = rx {
-                let sink = sink.as_mut().expect("streaming channel implies a sink");
-                for item in rx {
-                    if sink(item).is_break() {
-                        hung_up.store(true, Ordering::Release);
-                        break;
-                    }
+            for f in rx.into_iter().flatten() {
+                stats.merge(&f.stats);
+                costs.push((f.index, f.cost));
+                if !hung_up.load(Ordering::Acquire) && sink(Swept::Done(f)).is_break() {
+                    hung_up.store(true, Ordering::Release);
                 }
             }
             // Join explicitly and re-raise the first *harness* panic (the
@@ -1209,24 +1168,6 @@ impl Verifier {
         // long as no wall-clock deadline is configured — see the docs).
         hoyan_obs::metric!(counter "verify.families_quarantined").add(quarantined.len() as u64);
         hoyan_obs::metric!(counter "verify.families_over_budget").add(over_budget);
-        // Quarantine verdicts reach a streaming sink post-join too, in
-        // index order, mirroring their deterministic fold above.
-        if let Some(sink) = sink.as_mut().filter(|_| !hung_up.load(Ordering::Acquire)) {
-            for q in &quarantined {
-                if sink(StreamedFamily::Quarantined(q.clone())).is_break() {
-                    break;
-                }
-            }
-        }
-        let mut out = results.into_inner().unwrap_or_else(|p| p.into_inner());
-        out.sort_by_key(|f| f.index);
-        // This sweep's own aggregate — one contribution per published
-        // family, so it is the same at any thread count and never carries
-        // over from an earlier sweep of the same verifier.
-        let mut stats = PruneStats::default();
-        for f in &out {
-            stats.merge(&f.stats);
-        }
         // Publish the per-family cost attribution and the quarantine
         // verdicts to the flight recorder — post-join and in index order,
         // so the merged log is deterministic at any thread count. Members
@@ -1246,13 +1187,9 @@ impl Verifier {
                     family_label(&families[r])
                 ),
             };
-            for f in &out {
-                hoyan_obs::record_unit_cost(f.cost.unit_cost(
-                    unit_of(f.index),
-                    label(f.index),
-                    false,
-                    false,
-                ));
+            costs.sort_unstable_by_key(|&(i, _)| i);
+            for (i, cost) in costs {
+                hoyan_obs::record_unit_cost(cost.unit_cost(unit_of(i), label(i), false, false));
             }
             for q in &quarantined {
                 hoyan_obs::record_for(unit_of(q.index), hoyan_obs::EventKind::Quarantined);
@@ -1265,11 +1202,16 @@ impl Verifier {
             }
             hoyan_obs::flush_thread_events();
         }
-        Ok(SweepOutcome {
-            families: out,
-            quarantined,
-            stats,
-        })
+        // Quarantine verdicts reach the sink post-join too, in index
+        // order, mirroring their deterministic fold above.
+        if !hung_up.into_inner() {
+            for q in quarantined {
+                if sink(Swept::Quarantined(q)).is_break() {
+                    break;
+                }
+            }
+        }
+        Ok(stats)
     }
 
     /// Publishes the sweep-wide gauges from one sweep's aggregate prune
@@ -1279,6 +1221,36 @@ impl Verifier {
         hoyan_obs::metric!(gauge "verify.sweep_dropped")
             .set(agg.dropped_policy + agg.dropped_over_k + agg.dropped_impossible);
         hoyan_obs::metric!(gauge "verify.sweep_max_formula_len").record_max(agg.max_formula_len);
+    }
+
+    /// The sink of the cached entry points: each finished family's reports
+    /// go to `out` and its replayable entry to `cache`; quarantined
+    /// families go to `out` only, so the next delta retries them.
+    fn cache_sink<'a>(
+        &'a self,
+        families: &'a [Vec<Ipv4Prefix>],
+        out: &'a mut SweepReport,
+        cache: &'a mut FamilyCache,
+    ) -> impl FnMut(Swept) -> ControlFlow<()> + 'a {
+        move |item| {
+            match item {
+                Swept::Done(f) => {
+                    cache.insert(CachedFamily {
+                        prefixes: families[f.index].clone(),
+                        reports: f
+                            .reports
+                            .iter()
+                            .map(|r| CachedPrefixReport::from_report(r, &self.net.topology))
+                            .collect(),
+                        deps: f.deps,
+                        cost: f.cost,
+                    });
+                    out.reports.extend(f.reports);
+                }
+                Swept::Quarantined(q) => out.quarantined.push(q),
+            }
+            ControlFlow::Continue(())
+        }
     }
 
     /// Full-network route-reachability sweep: simulates every prefix family
@@ -1296,23 +1268,24 @@ impl Verifier {
     }
 
     /// [`Verifier::verify_all_routes`] with explicit [`SweepOptions`]
-    /// (fail-fast, per-family resource budgets).
+    /// (fail-fast, per-family resource budgets): the streaming sweep into
+    /// a collecting sink.
     pub fn verify_all_routes_opts(
         &self,
         k: u32,
         threads: usize,
         opts: &SweepOptions,
     ) -> Result<SweepReport, SimError> {
-        let families = self.families();
-        let swept = self.sweep_families(&families, k, threads, opts, None)?;
-        Self::flush_sweep_gauges(&swept.stats);
-        let mut out: Vec<PrefixReport> =
-            swept.families.into_iter().flat_map(|f| f.reports).collect();
-        out.sort_by_key(|r| r.prefix);
-        Ok(SweepReport {
-            reports: out,
-            quarantined: swept.quarantined,
-        })
+        let mut out = SweepReport::default();
+        self.verify_all_routes_streaming(k, threads, opts, &mut |item| {
+            match item {
+                StreamedFamily::Done { reports, .. } => out.reports.extend(reports),
+                StreamedFamily::Quarantined(q) => out.quarantined.push(q),
+            }
+            ControlFlow::Continue(())
+        })?;
+        out.reports.sort_by_key(|r| r.prefix);
+        Ok(out)
     }
 
     /// Streaming [`Verifier::verify_all_routes_opts`]: instead of
@@ -1326,9 +1299,9 @@ impl Verifier {
     /// quarantined ones, which stream after the workers drain. The sink
     /// runs on the calling thread; a slow sink backpressures the workers,
     /// and a sink that returns `Break` ends the sweep early (the summary
-    /// then counts only what finished). The set of streamed reports — and
-    /// every counter — is identical to the materialized sweep at any
-    /// thread count; only the arrival order varies (see
+    /// then counts only what the sink was handed). The set of streamed
+    /// reports — and every counter — is identical to the materialized sweep
+    /// at any thread count; only the arrival order varies (see
     /// `tests/determinism.rs`).
     pub fn verify_all_routes_streaming(
         &self,
@@ -1338,18 +1311,27 @@ impl Verifier {
         sink: &mut dyn FnMut(StreamedFamily) -> ControlFlow<()>,
     ) -> Result<StreamSummary, SimError> {
         let families = self.families();
-        let swept = self.sweep_families_sink(&families, k, threads, opts, None, Some(sink))?;
-        Self::flush_sweep_gauges(&swept.stats);
-        let prefixes = swept
-            .families
-            .iter()
-            .map(|f| families[f.index].len())
-            .sum();
-        Ok(StreamSummary {
-            families: swept.families.len(),
-            prefixes,
-            quarantined: swept.quarantined.len(),
-        })
+        let mut summary = StreamSummary::default();
+        let mut forward = |item: Swept| {
+            sink(match item {
+                Swept::Done(f) => {
+                    summary.families += 1;
+                    summary.prefixes += f.reports.len();
+                    StreamedFamily::Done {
+                        index: f.index,
+                        reports: f.reports,
+                        cost: f.cost,
+                    }
+                }
+                Swept::Quarantined(q) => {
+                    summary.quarantined += 1;
+                    StreamedFamily::Quarantined(q)
+                }
+            })
+        };
+        let stats = self.sweep(&families, None, false, k, threads, opts, &mut forward)?;
+        Self::flush_sweep_gauges(&stats);
+        Ok(summary)
     }
 
     /// Like [`Verifier::verify_all_routes`], but also returns a
@@ -1363,43 +1345,21 @@ impl Verifier {
         k: u32,
         threads: usize,
     ) -> Result<(SweepReport, FamilyCache), SimError> {
-        self.verify_all_routes_cached_opts(k, threads, &SweepOptions::default())
-    }
-
-    /// [`Verifier::verify_all_routes_cached`] with explicit
-    /// [`SweepOptions`].
-    pub fn verify_all_routes_cached_opts(
-        &self,
-        k: u32,
-        threads: usize,
-        opts: &SweepOptions,
-    ) -> Result<(SweepReport, FamilyCache), SimError> {
         let families = self.families();
-        let swept = self.sweep_families(&families, k, threads, opts, None)?;
-        Self::flush_sweep_gauges(&swept.stats);
+        let mut out = SweepReport::default();
         let mut cache = FamilyCache::new(k, self.isis_k);
-        let mut out = Vec::new();
-        for f in swept.families {
-            cache.insert(CachedFamily {
-                prefixes: families[f.index].clone(),
-                reports: f
-                    .reports
-                    .iter()
-                    .map(|r| CachedPrefixReport::from_report(r, &self.net.topology))
-                    .collect(),
-                deps: f.deps,
-                cost: f.cost,
-            });
-            out.extend(f.reports);
-        }
-        out.sort_by_key(|r| r.prefix);
-        Ok((
-            SweepReport {
-                reports: out,
-                quarantined: swept.quarantined,
-            },
-            cache,
-        ))
+        let stats = self.sweep(
+            &families,
+            None,
+            true,
+            k,
+            threads,
+            &SweepOptions::default(),
+            &mut self.cache_sink(&families, &mut out, &mut cache),
+        )?;
+        Self::flush_sweep_gauges(&stats);
+        out.reports.sort_by_key(|r| r.prefix);
+        Ok((out, cache))
     }
 
     /// Classifies every family of *this* (post-change) verifier against a
@@ -1458,7 +1418,7 @@ impl Verifier {
     ) -> Result<ReverifyOutcome, SimError> {
         let _sp = hoyan_obs::span("verify.reverify");
         let mut classifications = self.classify_families(delta, cache, k);
-        let mut reports: Vec<PrefixReport> = Vec::new();
+        let mut out = SweepReport::default();
         let mut new_cache = FamilyCache::new(k, self.isis_k);
         // Replayed families count toward this sweep's aggregate too, so the
         // gauges match a from-scratch sweep (one contribution per family,
@@ -1493,7 +1453,7 @@ impl Verifier {
                     if let Some(head) = rs.iter().find(|r| r.family_head) {
                         stats.merge(&head.stats);
                     }
-                    reports.extend(rs);
+                    out.reports.extend(rs);
                     if hoyan_obs::events_enabled() {
                         // Unit ids in a reverify are classification indices;
                         // a reused family is attributed at zero cost (its
@@ -1522,43 +1482,38 @@ impl Verifier {
         let reused = classifications.len() - dirty.len();
         hoyan_obs::metric!(counter "verify.families_reused").add(reused as u64);
         hoyan_obs::metric!(counter "verify.families_recomputed").add(dirty.len() as u64);
-        let swept = self.sweep_families(&dirty, k, threads, opts, Some(&dirty_units))?;
-        stats.merge(&swept.stats);
+        stats.merge(&self.sweep(
+            &dirty,
+            Some(&dirty_units),
+            true,
+            k,
+            threads,
+            opts,
+            &mut self.cache_sink(&dirty, &mut out, &mut new_cache),
+        )?);
         Self::flush_sweep_gauges(&stats);
-        for f in swept.families {
-            new_cache.insert(CachedFamily {
-                prefixes: dirty[f.index].clone(),
-                reports: f
-                    .reports
-                    .iter()
-                    .map(|r| CachedPrefixReport::from_report(r, &self.net.topology))
-                    .collect(),
-                deps: f.deps,
-                cost: f.cost,
-            });
-            reports.extend(f.reports);
-        }
-        reports.sort_by_key(|r| r.prefix);
+        out.reports.sort_by_key(|r| r.prefix);
         Ok(ReverifyOutcome {
-            reports,
+            reports: out.reports,
             cache: new_cache,
             recomputed: dirty.len(),
             reused,
             classifications,
-            quarantined: swept.quarantined,
+            quarantined: out.quarantined,
         })
     }
 }
 
 /// One family's output from a parallel sweep.
 struct FamilySweep {
-    /// Index into the family list handed to `sweep_families`.
+    /// Index into the family list handed to the sweep engine.
     index: usize,
     /// The family's prune-stats contribution to the sweep aggregate.
     stats: PruneStats,
     /// Per-prefix reports, in family order (head first).
     reports: Vec<PrefixReport>,
-    /// Devices and links the family's propagation touched.
+    /// Devices and links the family's propagation touched; empty unless
+    /// the sweep keeps traces for a cache.
     deps: FamilyDeps,
     /// The family's resource bill, read off its arena at completion.
     cost: FamilyCost,
@@ -1589,15 +1544,11 @@ impl FamilySweep {
     }
 }
 
-/// Everything a sweep produced: the completed families plus the
-/// quarantined ones (empty under fail-fast, which errors instead).
-struct SweepOutcome {
-    /// Completed families, sorted by index.
-    families: Vec<FamilySweep>,
-    /// Families that errored, breached a budget or panicked.
-    quarantined: Vec<QuarantinedFamily>,
-    /// Prune stats folded over the completed families.
-    stats: PruneStats,
+/// What the sweep engine hands its sink: a finished family, in arrival
+/// order, or a quarantined one, post-join in index order.
+enum Swept {
+    Done(FamilySweep),
+    Quarantined(QuarantinedFamily),
 }
 
 /// Result of an incremental [`Verifier::reverify`] sweep.

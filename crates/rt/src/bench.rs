@@ -12,16 +12,16 @@
 //!
 //! ```json
 //! {
-//!   "suite": "logic",
+//!   "suite": "bdd",
 //!   "results": [
-//!     {"name": "bdd/path_condition_chain_32", "samples": 15,
-//!      "iters_per_sample": 128, "median_ns": 10432.1, "mean_ns": 10681.0,
-//!      "min_ns": 10201.9, "max_ns": 12850.4}
+//!     {"name": "sweep", "samples": 5, "iters_per_sample": 1,
+//!      "median_ns": 13400682.0, "mean_ns": 13390230.6,
+//!      "min_ns": 13260896.0, "max_ns": 13582302.0}
 //!   ]
 //! }
 //! ```
 //!
-//! Environment knobs: `HOYAN_BENCH_QUICK=1` (fewer samples, shorter warmup
+//! Environment knobs: `HOYAN_BENCH_QUICK=1` (shorter samples and warmup
 //! — for smoke runs), `HOYAN_BENCH_DIR=<dir>` (JSON output directory).
 
 use std::time::{Duration, Instant};
@@ -56,8 +56,6 @@ pub struct BenchSuite {
     /// Target wall time for one sample; the warmup phase picks an iteration
     /// count to hit it.
     pub sample_target: Duration,
-    /// Timed samples per benchmark (median-of-N).
-    pub samples: u32,
     /// Warmup duration before sampling.
     pub warmup: Duration,
 }
@@ -71,19 +69,12 @@ impl BenchSuite {
             results: Vec::new(),
             metrics_json: None,
             sample_target: Duration::from_millis(if quick { 5 } else { 25 }),
-            samples: if quick { 5 } else { 15 },
             warmup: Duration::from_millis(if quick { 20 } else { 200 }),
         }
     }
 
-    /// Times `f`, printing a row and recording the result.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        let samples = self.samples;
-        self.bench_with_samples(name, samples, &mut f);
-    }
-
-    /// [`BenchSuite::bench`] with an explicit sample count — for expensive
-    /// benchmarks (e.g. whole-pipeline runs) that cannot afford the default.
+    /// Times `f` over `samples` timed samples, printing a row and recording
+    /// the result.
     pub fn bench_with_samples<R>(&mut self, name: &str, samples: u32, f: &mut impl FnMut() -> R) {
         // Warmup: run until the warmup budget elapses, counting iterations
         // to estimate the per-iteration cost.
@@ -217,7 +208,6 @@ mod tests {
     fn quick_suite(name: &str) -> BenchSuite {
         let mut s = BenchSuite::new(name);
         s.sample_target = Duration::from_micros(200);
-        s.samples = 3;
         s.warmup = Duration::from_micros(200);
         s
     }
@@ -225,7 +215,7 @@ mod tests {
     #[test]
     fn bench_produces_sane_stats() {
         let mut s = quick_suite("selftest");
-        s.bench("busy/sum", || (0..100u64).sum::<u64>());
+        s.bench_with_samples("busy/sum", 3, &mut || (0..100u64).sum::<u64>());
         let r = &s.results()[0];
         assert_eq!(r.samples, 3);
         assert!(r.iters_per_sample >= 1);
@@ -236,7 +226,7 @@ mod tests {
     #[test]
     fn json_shape_is_stable() {
         let mut s = quick_suite("fmt");
-        s.bench("a/b", || 1 + 1);
+        s.bench_with_samples("a/b", 3, &mut || 1 + 1);
         let j = s.to_json();
         assert!(j.contains("\"suite\": \"fmt\""));
         assert!(j.contains("\"name\": \"a/b\""));
@@ -249,7 +239,7 @@ mod tests {
     #[test]
     fn metrics_json_is_embedded_verbatim() {
         let mut s = quick_suite("m");
-        s.bench("a/b", || 1 + 1);
+        s.bench_with_samples("a/b", 3, &mut || 1 + 1);
         s.set_metrics_json("{\"schema\": 1}\n".to_string());
         let j = s.to_json();
         assert!(j.contains("\"metrics\": {\"schema\": 1}"));

@@ -34,9 +34,12 @@
 //! operation-counted and deterministic; `--family-deadline-ms` is the one
 //! wall-clock (hence non-deterministic) guard and is opt-in only.
 //!
-//! `sweep --stream` prints per-family outcomes in the order workers finish them and keeps only
-//! running aggregates in memory (peak report memory O(threads), not
-//! O(families)); it does not combine with `--baseline`.
+//! Every `sweep` without `--baseline` consumes one streaming sweep and
+//! keeps only each fragile prefix's node ids and the quarantined families,
+//! so peak report memory is O(threads), not O(families). `--stream` adds
+//! progress output: one line per family in the order workers finish them,
+//! then a summary line with family counts; it does not combine with
+//! `--baseline`.
 //!
 //! `serve` starts the resident verification daemon: it compiles the
 //! directory once, runs the warm-up sweep, then answers `reach` / `equiv` /
@@ -69,9 +72,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hoyan::config::{parse_config, ConfigSnapshot, DeviceConfig};
-use hoyan::core::{FamilyBudget, StreamedFamily, SweepOptions, SweepReport, Verifier};
+use hoyan::core::{FamilyBudget, PrefixReport, StreamedFamily, SweepOptions, Verifier};
 use hoyan::device::{Packet, VsbProfile};
-use hoyan::nettypes::Ipv4Prefix;
+use hoyan::nettypes::{Ipv4Prefix, NodeId};
 use hoyan::topogen::WanSpec;
 use hoyan::tuner::{ModelRegistry, Validator};
 
@@ -448,6 +451,14 @@ fn fam_label(fam: &[Ipv4Prefix]) -> String {
     }
 }
 
+/// The `(prefix, fragile nodes)` of every report with a fragile node.
+fn fragile_of(reports: Vec<PrefixReport>) -> impl Iterator<Item = (Ipv4Prefix, Vec<NodeId>)> {
+    reports
+        .into_iter()
+        .filter(|r| !r.fragile.is_empty())
+        .map(|r| (r.prefix, r.fragile))
+}
+
 fn run(args: &[String]) -> Result<(), CliError> {
     let cmd = args.first().map(|s| s.as_str()).unwrap_or("help");
     reject_unknown_flags(cmd, args)?;
@@ -592,87 +603,72 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let threads = get_threads(args)?;
             let opts = get_sweep_options(args)?;
             let t0 = std::time::Instant::now();
+            let stream = has_flag(args, "--stream");
+            let baseline = flag(args, "--baseline")?;
+            if stream && baseline.is_some() {
+                return Err(usage("--stream does not combine with --baseline"));
+            }
             // The report can run to megabytes (one line per fragile
             // prefix): one lock and one buffer for all of it.
             let mut out = BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
-            if has_flag(args, "--stream") {
-                // Streaming path: per-family outcomes print as workers
-                // finish them (arrival order) and only running aggregates
-                // stay in memory — peak report memory is O(threads), not
-                // O(families), so paper-scale sweeps don't accumulate.
-                if flag(args, "--baseline")?.is_some() {
-                    return Err(usage("--stream does not combine with --baseline"));
-                }
-                let v = verifier_for(dir, k)?;
-                let mut fragile: Vec<(Ipv4Prefix, Vec<String>)> = Vec::new();
-                // The sink cannot return an error: the first write failure
-                // is kept, stops the sweep, and is surfaced once it ends.
-                let mut written: std::io::Result<()> = Ok(());
-                let mut sink = |item: StreamedFamily| {
-                    let line = match item {
-                        StreamedFamily::Done { reports, cost, .. } => {
-                            let Some(head) = reports.first() else {
-                                return ControlFlow::Continue(());
-                            };
-                            for r in &reports {
-                                if !r.fragile.is_empty() {
-                                    let names = r
-                                        .fragile
-                                        .iter()
-                                        .map(|n| v.net.topology.name(*n).to_string())
-                                        .collect();
-                                    fragile.push((r.prefix, names));
-                                }
-                            }
-                            writeln!(
-                                out,
-                                "  family {} ({} prefix(es)): {} ops",
-                                head.prefix,
-                                reports.len(),
-                                cost.ops
-                            )
-                        }
-                        StreamedFamily::Quarantined(q) => {
-                            writeln!(out, "  QUARANTINED {}: {}", fam_label(&q.prefixes), q.outcome)
-                        }
-                    };
-                    written = line;
-                    match written {
-                        Ok(()) => ControlFlow::Continue(()),
-                        Err(_) => ControlFlow::Break(()),
-                    }
-                };
-                let swept = v.verify_all_routes_streaming(k, threads, &opts, &mut sink);
-                written?;
-                let summary = swept.map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "swept {} prefixes ({} family(ies), {} quarantined) at k={k} in {:?} [streaming]",
-                    summary.prefixes,
-                    summary.families,
-                    summary.quarantined,
-                    t0.elapsed()
-                )?;
-                fragile.sort();
-                for (p, names) in &fragile {
-                    writeln!(out, "  {p}: not {k}-failure resilient at {names:?}")?;
-                }
-                out.flush()?;
-                return Ok(());
-            }
-            let (v, swept) = match flag(args, "--baseline")? {
+            // Only the fragile node ids of each prefix and the quarantined
+            // families outlive the sweep; names are resolved at print time.
+            let mut fragile: Vec<(Ipv4Prefix, Vec<NodeId>)> = Vec::new();
+            let (v, quarantined) = match baseline {
                 None => {
                     let v = verifier_for(dir, k)?;
-                    let swept = v
-                        .verify_all_routes_opts(k, threads, &opts)
-                        .map_err(|e| e.to_string())?;
-                    writeln!(
-                        out,
-                        "swept {} prefixes at k={k} in {:?}",
-                        swept.reports.len(),
-                        t0.elapsed()
-                    )?;
-                    (v, swept)
+                    let mut quarantined = Vec::new();
+                    // The sink cannot return an error: the first write
+                    // failure is kept, stops the sweep, and is surfaced once
+                    // it ends. Only `--stream` writes while the sweep runs:
+                    // one line per family, in the order workers finish them.
+                    let mut written: std::io::Result<()> = Ok(());
+                    let mut sink = |item: StreamedFamily| {
+                        written = match item {
+                            StreamedFamily::Done { reports, cost, .. } => {
+                                let line = match reports.first() {
+                                    Some(head) if stream => writeln!(
+                                        out,
+                                        "  family {} ({} prefix(es)): {} ops",
+                                        head.prefix,
+                                        reports.len(),
+                                        cost.ops
+                                    ),
+                                    _ => Ok(()),
+                                };
+                                fragile.extend(fragile_of(reports));
+                                line
+                            }
+                            StreamedFamily::Quarantined(q) if stream => writeln!(
+                                out,
+                                "  QUARANTINED {}: {}",
+                                fam_label(&q.prefixes),
+                                q.outcome
+                            ),
+                            StreamedFamily::Quarantined(q) => {
+                                quarantined.push(q);
+                                Ok(())
+                            }
+                        };
+                        match written {
+                            Ok(()) => ControlFlow::Continue(()),
+                            Err(_) => ControlFlow::Break(()),
+                        }
+                    };
+                    let swept = v.verify_all_routes_streaming(k, threads, &opts, &mut sink);
+                    written?;
+                    let summary = swept.map_err(|e| e.to_string())?;
+                    let (n, elapsed) = (summary.prefixes, t0.elapsed());
+                    if stream {
+                        let (f, q) = (summary.families, summary.quarantined);
+                        writeln!(
+                            out,
+                            "swept {n} prefixes ({f} family(ies), {q} quarantined) at k={k} in {elapsed:?} [streaming]"
+                        )?;
+                    } else {
+                        writeln!(out, "swept {n} prefixes at k={k} in {elapsed:?}")?;
+                    }
+                    (v, quarantined)
                 }
                 Some(base_dir) => {
                     // Incremental path: sweep the baseline once (building the
@@ -707,32 +703,24 @@ fn run(args: &[String]) -> Result<(), CliError> {
                         outcome.recomputed,
                         outcome.reused
                     )?;
-                    (
-                        v,
-                        SweepReport {
-                            reports: outcome.reports,
-                            quarantined: outcome.quarantined,
-                        },
-                    )
+                    fragile.extend(fragile_of(outcome.reports));
+                    (v, outcome.quarantined)
                 }
             };
-            if !swept.quarantined.is_empty() {
+            if !quarantined.is_empty() {
                 writeln!(
                     out,
                     "{} family(ies) quarantined (reports above exclude them):",
-                    swept.quarantined.len()
+                    quarantined.len()
                 )?;
-                for q in &swept.quarantined {
+                for q in &quarantined {
                     writeln!(out, "  QUARANTINED {}: {}", fam_label(&q.prefixes), q.outcome)?;
                 }
             }
-            for r in swept.reports.iter().filter(|r| !r.fragile.is_empty()) {
-                let names: Vec<&str> = r
-                    .fragile
-                    .iter()
-                    .map(|n| v.net.topology.name(*n))
-                    .collect();
-                writeln!(out, "  {}: not {k}-failure resilient at {:?}", r.prefix, names)?;
+            fragile.sort_unstable_by_key(|&(p, _)| p);
+            for (p, nodes) in &fragile {
+                let names: Vec<&str> = nodes.iter().map(|n| v.net.topology.name(*n)).collect();
+                writeln!(out, "  {p}: not {k}-failure resilient at {names:?}")?;
             }
             out.flush()?;
             Ok(())

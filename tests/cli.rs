@@ -476,3 +476,65 @@ fn sweep_into_a_reader_that_closes_early_exits_quietly() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn default_and_streamed_sweeps_agree() {
+    let dir = tempdir("stream-agree");
+    let d = dir.to_str().unwrap();
+    let out = hoyan()
+        .args(["gen", d, "--size", "small", "--seed", "42"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let sweep = |stream: bool, faults: &str| {
+        let out = hoyan()
+            .args(["sweep", d, "--k", "1", "--threads", "2"])
+            .args(stream.then_some("--stream"))
+            .env("HOYAN_FAULTS", faults)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    // The prefix count is the number right after "swept ".
+    let swept = |s: &str| -> usize {
+        let line = s
+            .lines()
+            .find(|l| l.starts_with("swept "))
+            .expect("summary line");
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+    let lines = |s: &str, pat: &str| -> Vec<String> {
+        let mut v: Vec<String> = s
+            .lines()
+            .filter(|l| l.contains(pat))
+            .map(String::from)
+            .collect();
+        v.sort();
+        v
+    };
+    for faults in ["", "verify.family@1=error"] {
+        let (default, streamed) = (sweep(false, faults), sweep(true, faults));
+        assert!(streamed.contains("[streaming]"), "{streamed}");
+        assert_eq!(swept(&default), swept(&streamed), "{faults:?}");
+        let fragile = lines(&default, "-failure resilient at");
+        assert!(!fragile.is_empty(), "{default}");
+        assert_eq!(
+            fragile,
+            lines(&streamed, "-failure resilient at"),
+            "{faults:?}"
+        );
+        let quarantined = lines(&default, "QUARANTINED");
+        assert_eq!(
+            quarantined.len(),
+            usize::from(!faults.is_empty()),
+            "{default}"
+        );
+        assert_eq!(quarantined, lines(&streamed, "QUARANTINED"), "{faults:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -75,9 +75,9 @@ fn batchy_wan() -> hoyan::topogen::Wan {
     .build()
 }
 
-/// The streaming sink must see exactly the families the materialized sweep
-/// reports — same verdicts, same costs in aggregate, every family index
-/// exactly once.
+/// The streaming and cache-filling sinks must see exactly the families the
+/// materialized sweep reports — same verdicts, same costs in aggregate,
+/// every family index exactly once.
 #[test]
 fn streaming_sweep_matches_materialized() {
     let wan = batchy_wan();
@@ -108,6 +108,11 @@ fn streaming_sweep_matches_materialized() {
     // Arrival order is scheduling-dependent; the *set* of reports is not.
     reports.sort_by_key(|r| r.prefix);
     assert_reports_equal(&materialized.reports, &reports, "streaming vs materialized");
+    // The cache-filling sink sees the same sweep, and caches every family.
+    let (cached, cache) = verifier.verify_all_routes_cached(1, 2).unwrap();
+    assert_reports_equal(&materialized.reports, &cached.reports, "cached sink");
+    assert!(cached.quarantined.is_empty());
+    assert_eq!(cache.len(), verifier.families().len());
 }
 
 /// A sink that breaks ends the sweep: it is called no more, and the
