@@ -4,8 +4,8 @@
 //!
 //! The crate wires device behavior models into a [`network::NetworkModel`],
 //! runs the conditioned route-propagation engine ([`propagate`]), supports
-//! IS-IS via its path-vector translation ([`isis`]), derives conditioned
-//! FIBs ([`fib`]) and symbolic packet walks ([`packet`]), detects
+//! IS-IS via edge cuts and its path-vector translation ([`isis`]), derives
+//! conditioned FIBs ([`fib`]) and symbolic packet walks ([`packet`]), detects
 //! route-update racing ([`racing`]), and exposes it all through
 //! [`verify::Verifier`].
 //!
@@ -17,6 +17,7 @@
 
 mod classes;
 pub mod fib;
+mod igp_cut;
 pub mod isis;
 pub mod network;
 pub mod packet;
@@ -28,7 +29,7 @@ pub mod topology;
 pub mod verify;
 
 pub use fib::{fib_rules_for, is_gateway, FibAction, FibRule};
-pub use isis::{IsisDb, IsisHop};
+pub use isis::{DestHops, IsisDb, IsisHop};
 pub use network::{BgpSession, NetworkModel};
 pub use packet::{packet_reach, packet_reach_ecmp, EcmpMode, PacketWalk};
 pub use propagate::{

@@ -2,8 +2,12 @@
 //! seeded sweep are a pure function of the formulas the engine builds, so a
 //! change that claims "same formulas, same verdicts, only cheaper
 //! bookkeeping" must reproduce them to the unit. The constants below were
-//! recorded from the commit *before* the allocation-free hot path landed;
-//! any drift fails here instead of being a sentence in CHANGES.md.
+//! recorded from the commit *before* the allocation-free hot path landed,
+//! and re-recorded, digests unchanged, when IS-IS session conditions moved
+//! from per-destination path-vector simulations to edge cuts: the budget-3
+//! IS-IS build no longer runs a simulation (`isis.spf_runs` 0) and its BDD
+//! work shrank. Any other drift fails here instead of being a sentence in
+//! CHANGES.md.
 //!
 //! Own test binary with a single `#[test]`: the metrics registry is
 //! process-wide, so the legs run back to back with a reset in between.
@@ -44,16 +48,14 @@ const PINS: [Pin; 2] = [
         name: "tiny",
         spec: WanSpec::tiny,
         digest: 0x8a45_e694_1a3d_ae63,
-        values: [
-            20860, 9160, 9110, 10950, 5746, 14, 0, 1459, 211, 437, 195, 5, 8,
-        ],
+        values: [458, 227, 94, 180, 54, 6, 0, 80, 49, 41, 31, 5, 0],
     },
     Pin {
         name: "small",
         spec: WanSpec::small,
         digest: 0x207e_79f9_e0e2_8dd3,
         values: [
-            419575, 171168, 131789, 211768, 65858, 48, 11, 15672, 1865, 3919, 4742, 120, 20,
+            13241, 4932, 2342, 4777, 423, 28, 0, 581, 855, 803, 598, 120, 0,
         ],
     },
 ];
