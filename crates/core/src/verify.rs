@@ -580,7 +580,7 @@ impl Verifier {
             dst_prefix,
             packet,
             Some(k),
-        );
+        )?;
         Ok(self.verdict(&mut sim, walk.reach_cond, k))
     }
 

@@ -128,7 +128,7 @@ fn figure5_packet_reaches_a_from_d_unless_link4_or_both_paths_die() {
         dst: "10.0.0.9".parse().unwrap(),
         proto: hoyan_config::AclProto::Tcp,
     };
-    let walk = packet_reach(&mut sim, &net, None, d, pfx("10.0.0.0/24"), packet, Some(3));
+    let walk = packet_reach(&mut sim, &net, None, d, pfx("10.0.0.0/24"), packet, Some(3)).unwrap();
     // The packet follows FIBs D→C→A; Figure 5 shows p6 (the branch pairing
     // r4's condition with r1's next hop) is always-false and pruned.
     assert!(sim.mgr.eval(walk.reach_cond, &[]));

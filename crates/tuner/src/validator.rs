@@ -321,7 +321,7 @@ impl Validator {
             proto: hoyan_config::AclProto::Udp,
         };
         let walk =
-            hoyan_core::packet_reach(&mut sim, net, None, src, dst_prefix, packet, Some(0));
+            hoyan_core::packet_reach(&mut sim, net, None, src, dst_prefix, packet, Some(0))?;
         Ok(sim.mgr.eval(walk.reach_cond, &[]))
     }
 

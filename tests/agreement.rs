@@ -110,7 +110,8 @@ fn packet_reachability_agrees_with_concrete_walk() {
     };
     let mut sim = Simulation::new_bgp(&net, vec![p], None, Some(&isis));
     sim.run().unwrap();
-    let walk = hoyan::core::packet_reach(&mut sim, &net, Some(&isis), src, p, packet, None);
+    let walk =
+        hoyan::core::packet_reach(&mut sim, &net, Some(&isis), src, p, packet, None).unwrap();
 
     // All-alive: the packet must arrive (route exists and FIBs resolve).
     assert!(sim.mgr.eval(walk.reach_cond, &[]));

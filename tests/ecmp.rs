@@ -59,7 +59,8 @@ fn reach_under(mode: EcmpMode, proto: hoyan::config::AclProto) -> bool {
         dst: "10.3.0.9".parse().unwrap(),
         proto,
     };
-    let walk = packet_reach_ecmp(&mut sim, &net, Some(&isis), cr, p, packet, Some(2), mode);
+    let walk =
+        packet_reach_ecmp(&mut sim, &net, Some(&isis), cr, p, packet, Some(2), mode).unwrap();
     sim.mgr.eval(walk.reach_cond, &[])
 }
 

@@ -28,7 +28,7 @@ fn packet_reachability_implies_route_reachability() {
                 dst: p.network(),
                 proto: hoyan::config::AclProto::Udp,
             };
-            let walk = packet_reach(&mut sim, &net, Some(&isis), src, *p, packet, Some(2));
+            let walk = packet_reach(&mut sim, &net, Some(&isis), src, *p, packet, Some(2)).unwrap();
             let route = sim.reach_cond(src, *p);
             for dead_links in failure_sets(net.topology.link_count(), 2) {
                 let dead: HashSet<LinkId> = dead_links.iter().copied().collect();
